@@ -17,6 +17,8 @@ CASES = {
         "verify-rigidity", "--input", str(DATA / "theta.graph"), "--max-degree", "2",
     ],
     "abelianize_z3circle.txt": ["abelianize", "--input", str(DATA / "z3circle.gog")],
+    "pi1_z3circle.txt": ["pi1", "--input", str(DATA / "z3circle.gog")],
+    "pi1_torus.txt": ["pi1", "--input", str(DATA / "torus.poly")],
     "saturation_times2.txt": [
         "saturation-check", "--input", str(DATA / "times2.morphism"),
         "--primes", "2", "--bound", "3",
