@@ -433,8 +433,12 @@ def load_extension_data(node: Node) -> ExtensionData:
     h = _load_table(node.one_child("h"))
     alpha = {}
     for key, val in node.scalars("alpha"):
+        if len(key) != 2:
+            raise DocumentError("alpha entries look like: alpha <h> = images")
         alpha[as_int(key[1])] = tuple(as_int(t) for t in val)
     g = {}
     for key, val in node.scalars("g"):
+        if len(key) != 3 or len(val) != 1:
+            raise DocumentError("g entries look like: g <h1> <h2> = <value>")
         g[(as_int(key[1]), as_int(key[2]))] = as_int(val[0])
     return ExtensionData(pi, h, alpha, g)

@@ -255,9 +255,6 @@ class AffineMonoid:
 
         return search(0, x, target)
 
-    def membership(self, x: Sequence[int]) -> bool:
-        return self.contains(x)
-
     # -- element enumeration ------------------------------------------------
 
     def elements_up_to_degree(self, bound: int) -> List[Vec]:

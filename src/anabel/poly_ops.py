@@ -4,6 +4,7 @@ cell categories."""
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
@@ -549,6 +550,15 @@ def category_pi1(C: PolysimplicialSet, base_cell: str) -> GroupPresentation:
     restrictions between them; the composition triangles are the
     relations, collapsed along a spanning tree rooted at the base cell.
     """
+    pres, tree_edges = _category_presentation(C, base_cell)
+    return pres.kill_generators(tree_edges)
+
+
+def _category_presentation(
+    C: PolysimplicialSet, base_cell: str
+) -> Tuple[GroupPresentation, List[int]]:
+    """One generator per morphism, one relator per composable pair, and the
+    0-based generators of a breadth-first spanning tree from the base cell."""
     if base_cell not in C.cells:
         raise ValueError(f"unknown base cell {base_cell}")
     objs = _nondeg_objects(C)
@@ -556,7 +566,7 @@ def category_pi1(C: PolysimplicialSet, base_cell: str) -> GroupPresentation:
     morphisms: List[Tuple[int, int, LambdaMorphism]] = []
     for b, eb in enumerate(objs):
         n = eb.level
-        for gamma in (g for g in _all_injective_into(n)):
+        for gamma in injections_into(n):
             got = C.act(eb, gamma)
             if not got.is_nondegenerate():
                 continue
@@ -567,23 +577,24 @@ def category_pi1(C: PolysimplicialSet, base_cell: str) -> GroupPresentation:
                 continue
             morphisms.append((a, b, gamma))
     morphisms.sort(key=lambda t: (t[0], t[1], t[2].key()))
-    # connectivity of the object graph
-    adj: Dict[int, Set[int]] = {i: set() for i in range(len(objs))}
-    for a, b, _ in morphisms:
-        adj[a].add(b)
-        adj[b].add(a)
+    # incidence lists in morphism order; a breadth-first search over them
+    # gives the spanning tree
+    incident: List[List[Tuple[int, int]]] = [[] for _ in objs]
+    outgoing: List[List[int]] = [[] for _ in objs]
+    for k, (a, b, _) in enumerate(morphisms):
+        incident[a].append((k, b))
+        incident[b].append((k, a))
+        outgoing[a].append(k)
     base_obj = obj_index[C.canonical(Element(base_cell, identity(C.cells[base_cell])))]
     seen = {base_obj}
-    stack = [base_obj]
-    tree_edges: Set[int] = set()
-    while stack:
-        x = stack.pop(0)
-        for k, (a, b, gamma) in enumerate(morphisms):
-            for u, v in ((a, b), (b, a)):
-                if u == x and v not in seen:
-                    seen.add(v)
-                    tree_edges.add(k)
-                    stack.append(v)
+    queue = deque([base_obj])
+    tree_edges: List[int] = []
+    while queue:
+        for k, v in incident[queue.popleft()]:
+            if v not in seen:
+                seen.add(v)
+                tree_edges.append(k)
+                queue.append(v)
     if len(seen) != len(objs):
         raise ValueError("complex is disconnected")
     gen_names = [f"m{k}" for k in range(len(morphisms))]
@@ -592,9 +603,8 @@ def category_pi1(C: PolysimplicialSet, base_cell: str) -> GroupPresentation:
     }
     relators = []
     for k1, (a1, b1, g1) in enumerate(morphisms):
-        for k2, (a2, b2, g2) in enumerate(morphisms):
-            if b1 != a2:
-                continue
+        for k2 in outgoing[b1]:
+            _, b2, g2 = morphisms[k2]
             comp = compose(g2, g1)
             # morphism: objs[a1] -> objs[b2] via comp
             if a1 == b2 and comp == identity(objs[a1].level):
@@ -604,13 +614,4 @@ def category_pi1(C: PolysimplicialSet, base_cell: str) -> GroupPresentation:
             if k3 is None:
                 raise AssertionError("morphism composition left the category")
             relators.append((k2 + 1, k1 + 1, -(k3 + 1)))
-    pres = GroupPresentation(gen_names, relators)
-    return pres.kill_generators(sorted(tree_edges))
-
-
-def _all_injective_into(n: PolyIndex) -> List[LambdaMorphism]:
-    return [g for g in injections_into(n)]
-
-
-def euler_characteristic(C: PolysimplicialSet) -> int:
-    return C.euler_characteristic()
+    return GroupPresentation(gen_names, relators), sorted(tree_edges)

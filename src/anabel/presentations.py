@@ -3,11 +3,30 @@
 Words are tuples of nonzero ints: k stands for generator k-1, -k for its
 inverse. Simplification sticks to elementary Tietze moves under a step
 budget; no attempt is made to decide isomorphism.
+
+Relators are kept canonical: the least cyclic rotation of the word or its
+inverse, empty and duplicate ones dropped. One elimination step takes the
+first relator in (length, word) order in which some generator occurs
+exactly once, takes the smallest such generator g, solves the relator for
+g and substitutes the solution into every other relator.
+
+`simplify` does this incrementally and returns what the plain loop (re-
+canonicalize and re-sort every relator after each step, renumber the
+generators above g down by one) returns:
+- Renumbering maps letters monotonically and commutes with inversion, so
+  it changes neither canonical forms, nor the (length, word) order, nor
+  which generator is the smallest; it is done once, at the end.
+- A relator without g is unchanged by the substitution, so only the
+  relators containing g, found through a generator -> relator index, are
+  rewritten and re-canonicalized.
+- The relators with a once-occurring generator sit in a heap keyed by
+  (length, word), so the next step's relator is its least live entry.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Sequence, Tuple
+import heapq
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .intlin import FgAbGroup, IntMatrix, cokernel_group
 
@@ -104,60 +123,71 @@ class GroupPresentation:
         return pres.simplify()
 
     def simplify(self, budget: int = 10000) -> "GroupPresentation":
-        """Elementary Tietze simplification under a step budget."""
-        gens = list(self.generators)
-        rels = [_cyclic_reduce(r) for r in self.relators]
-        steps = 0
-        changed = True
-        while changed and steps < budget:
-            changed = False
-            rels = sorted(
-                {_relator_canon(r) for r in rels if r}, key=lambda w: (len(w), w)
-            )
-            # eliminate a generator via a relator where it occurs exactly once
-            elim = None
-            for r in rels:
-                counts: Dict[int, int] = {}
-                for s in r:
-                    counts[abs(s)] = counts.get(abs(s), 0) + 1
-                for g, c in sorted(counts.items()):
-                    if c == 1:
-                        elim = (r, g)
-                        break
-                if elim:
-                    break
-            if elim is not None:
-                r, g = elim
-                i = next(k for k, s in enumerate(r) if abs(s) == g)
-                # r = a g^e b  =>  g^e = a^-1 b^-1, so g = (a^-1 b^-1)^e
-                a, e, b = r[:i], r[i], r[i + 1 :]
-                repl = free_reduce(invert_word(a) + invert_word(b))
-                if e < 0:
-                    repl = invert_word(repl)
-                new_rels = []
-                for s in rels:
-                    if s == r:
-                        continue
-                    out: List[int] = []
-                    for t in s:
-                        if abs(t) == g:
-                            out.extend(repl if t > 0 else invert_word(repl))
-                        else:
-                            out.append(t)
-                    new_rels.append(_cyclic_reduce(out))
-                # renumber generators above g down by one
-                def shift(word):
-                    return tuple(
-                        (t - 1 if t > g else t + 1 if t < -g else t) for t in word
-                    )
+        """Elementary Tietze simplification under a step budget.
 
-                rels = [shift(w) for w in new_rels]
-                del gens[g - 1]
-                changed = True
-                steps += 1
-                continue
-            steps += 1
-        rels = sorted(
-            {_relator_canon(r) for r in rels if r}, key=lambda w: (len(w), w)
-        )
-        return GroupPresentation(gens, rels)
+        The budget caps the number of eliminations. The relators come back
+        canonical, deduplicated and in (length, word) order.
+        """
+        live: Set[Word] = set()
+        containing: Dict[int, Set[Word]] = {}
+        # heap of (length, word, smallest generator occurring once in it);
+        # words that have left `live` are skipped when they surface
+        candidates: List[Tuple[int, Word, int]] = []
+
+        def add(w: Word) -> None:
+            if not w or w in live:
+                return
+            live.add(w)
+            counts: Dict[int, int] = {}
+            for s in w:
+                counts[abs(s)] = counts.get(abs(s), 0) + 1
+            for g in counts:
+                containing.setdefault(g, set()).add(w)
+            singles = [g for g, c in counts.items() if c == 1]
+            if singles:
+                heapq.heappush(candidates, (len(w), w, min(singles)))
+
+        for r in self.relators:
+            add(_relator_canon(r))
+        eliminated: Set[int] = set()
+        while len(eliminated) < budget:
+            while candidates and candidates[0][1] not in live:
+                heapq.heappop(candidates)
+            if not candidates:
+                break
+            _, r, g = heapq.heappop(candidates)
+            i = next(k for k, s in enumerate(r) if abs(s) == g)
+            # r = a g^e b  =>  g^e = a^-1 b^-1, so g = (a^-1 b^-1)^e
+            a, e, b = r[:i], r[i], r[i + 1 :]
+            repl = free_reduce(invert_word(a) + invert_word(b))
+            if e < 0:
+                repl = invert_word(repl)
+            inv_repl = invert_word(repl)
+            touched = containing.pop(g)
+            for w in touched:
+                live.discard(w)
+                for s in w:
+                    if abs(s) != g:
+                        containing[abs(s)].discard(w)
+            touched.discard(r)
+            rewritten = []
+            for w in touched:
+                out: List[int] = []
+                for t in w:
+                    if t == g:
+                        out.extend(repl)
+                    elif t == -g:
+                        out.extend(inv_repl)
+                    else:
+                        out.append(t)
+                rewritten.append(_relator_canon(out))
+            for w in rewritten:
+                add(w)
+            eliminated.add(g)
+        kept = [k for k in range(1, len(self.generators) + 1) if k not in eliminated]
+        number = {k: j for j, k in enumerate(kept, 1)}
+        rels = [
+            tuple(number[t] if t > 0 else -number[-t] for t in w)
+            for w in sorted(live, key=lambda w: (len(w), w))
+        ]
+        return GroupPresentation([self.generators[k - 1] for k in kept], rels)

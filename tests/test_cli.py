@@ -105,3 +105,14 @@ def test_rigidity_exit_code_on_nontrivial_kernel(tmp_path):
     proc = run_cli(["verify-rigidity", "--input", str(doc), "--max-degree", "1"])
     assert proc.returncode == 1
     assert "warning" in proc.stdout
+
+
+@pytest.mark.parametrize("old,new", [("alpha 1 =", "alpha ="), ("g 1 0 = 0", "g 1 =")])
+def test_malformed_extension_exit_code(tmp_path, old, new):
+    doc = tmp_path / "bad.extension"
+    doc.write_text((DATA / "s3.extension").read_text().replace(old, new))
+    proc = run_cli(["schreier", "--input", str(doc)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr

@@ -1,3 +1,4 @@
+import pathlib
 from fractions import Fraction
 
 import pytest
@@ -156,3 +157,22 @@ def test_error_reports_missing_entry():
     with pytest.raises(DocumentError) as err:
         load("kind = monoid")
     assert "dim" in str(err.value)
+
+
+S3_EXTENSION = (pathlib.Path(__file__).parent / "data" / "s3.extension").read_text()
+
+
+@pytest.mark.parametrize(
+    "old,new",
+    [
+        ("alpha 1 =", "alpha ="),
+        ("g 1 0 =", "g 1 ="),
+        ("g 1 0 =", "g ="),
+        ("g 1 0 = 0", "g 1 0 ="),
+    ],
+)
+def test_malformed_extension_entries_rejected(old, new):
+    assert old in S3_EXTENSION
+    with pytest.raises(DocumentError) as err:
+        load(S3_EXTENSION.replace(old, new))
+    assert "look like" in str(err.value)

@@ -15,6 +15,7 @@ from anabel.poly import (
     epi_mono_factor,
     identity,
     index_dim,
+    injections_into,
     lambda_hom,
     points,
     representable,
@@ -23,6 +24,8 @@ from anabel.poly import (
 from anabel.poly_ops import (
     CellFunctor,
     PolyMorphism,
+    _category_presentation,
+    _nondeg_objects,
     box_extend,
     category_pi1,
     coequalizer,
@@ -361,6 +364,65 @@ def test_category_pi1_circle():
     assert pres.abelianization() == FgAbGroup(1)
     simplified = pres.simplify()
     assert simplified.rank() == 1 and simplified.is_free_presentation()
+
+
+def test_category_pi1_lambda3_is_trivial():
+    # 1884 morphisms and 45852 composition relators; with one full
+    # re-canonicalization per elimination this ran for over a minute
+    L3 = representable((3,))
+    assert category_pi1(L3, min(L3.cells)).abelianization().is_trivial
+
+
+def _reference_category_parts(C, base_cell):
+    """Relators and spanning tree as category_pi1 first built them: a
+    breadth-first search that rescans every morphism for each node, and an
+    all-pairs scan for the composable pairs."""
+    objs = _nondeg_objects(C)
+    obj_index = {e: i for i, e in enumerate(objs)}
+    morphisms = []
+    for b, eb in enumerate(objs):
+        for gamma in injections_into(eb.level):
+            got = C.act(eb, gamma)
+            a = obj_index.get(got) if got.is_nondegenerate() else None
+            if a is not None and not (a == b and gamma == identity(eb.level)):
+                morphisms.append((a, b, gamma))
+    morphisms.sort(key=lambda t: (t[0], t[1], t[2].key()))
+    base_obj = obj_index[C.canonical(Element(base_cell, identity(C.cells[base_cell])))]
+    seen = {base_obj}
+    stack = [base_obj]
+    tree_edges = set()
+    while stack:
+        x = stack.pop(0)
+        for k, (a, b, gamma) in enumerate(morphisms):
+            for u, v in ((a, b), (b, a)):
+                if u == x and v not in seen:
+                    seen.add(v)
+                    tree_edges.add(k)
+                    stack.append(v)
+    mor_pos = {(a, b, gamma.key()): k for k, (a, b, gamma) in enumerate(morphisms)}
+    relators = []
+    for k1, (a1, b1, g1) in enumerate(morphisms):
+        for k2, (a2, b2, g2) in enumerate(morphisms):
+            if b1 != a2:
+                continue
+            comp = compose(g2, g1)
+            if a1 == b2 and comp == identity(objs[a1].level):
+                relators.append((k2 + 1, k1 + 1))
+            else:
+                relators.append((k2 + 1, k1 + 1, -(mor_pos[(a1, b2, comp.key())] + 1)))
+    return len(morphisms), relators, sorted(tree_edges)
+
+
+def test_category_presentation_matches_all_pairs_construction():
+    shapes = [representable((1,)), representable((2,)), representable((1, 1)),
+              make_circle(), make_fold(), make_wedge()]
+    for C in shapes:
+        for base in sorted(C.cells):
+            pres, tree = _category_presentation(C, base)
+            n, relators, want_tree = _reference_category_parts(C, base)
+            assert pres.generators == [f"m{k}" for k in range(n)]
+            assert pres.relators == relators
+            assert tree == want_tree
 
 
 def make_wedge():
