@@ -170,7 +170,6 @@ class GroupPresentation:
                     if abs(s) != g:
                         containing[abs(s)].discard(w)
             touched.discard(r)
-            rewritten = []
             for w in touched:
                 out: List[int] = []
                 for t in w:
@@ -180,9 +179,7 @@ class GroupPresentation:
                         out.extend(inv_repl)
                     else:
                         out.append(t)
-                rewritten.append(_relator_canon(out))
-            for w in rewritten:
-                add(w)
+                add(_relator_canon(out))
             eliminated.add(g)
         kept = [k for k in range(1, len(self.generators) + 1) if k not in eliminated]
         number = {k: j for j, k in enumerate(kept, 1)}

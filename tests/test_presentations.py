@@ -235,10 +235,9 @@ def test_simplify_matches_reference_on_category_presentations(name):
     # category_pi1 returns raw.simplify()
     raw = GroupPresentation(pres.generators, pres.relators + [(k + 1,) for k in tree])
     if name == "L21":
-        # 1530 generators and 22457 relators: the reference needs about
-        # 160 s for the full run, so it is compared on the first steps,
-        # and the full run is compared with the reference's result, the
-        # trivial group.
+        # 1530 generators and 22457 relators: the reference takes minutes
+        # for the full run, so it is compared on the first steps, and the
+        # full run against the reference's full result, the trivial group.
         _assert_same(raw, budgets=(1, 2, 3))
         out = raw.simplify()
         assert out.generators == [] and out.relators == []
@@ -263,7 +262,7 @@ def test_simplify_matches_reference_hypothesis():
         )
     )
 
-    @hyp.settings(max_examples=150, deadline=None, derandomize=True, database=None)
+    @hyp.settings(max_examples=100, deadline=None, derandomize=True, database=None)
     @hyp.given(presentations, st.sampled_from(BUDGETS))
     def check(pres, budget):
         _assert_same(pres, budgets=(budget,))
