@@ -12,15 +12,10 @@ import sys
 from fractions import Fraction
 from typing import List
 
+# each subcommand imports the library modules it runs, so a call loads
+# only those
 from . import documents
 from .documents import DocumentError
-from .cospec import CospecError, cospec_strata
-from .currents import current_group
-from .gog import abelianized_pi1, pi1_presentation, schreier_extension
-from .graphs import enumerate_covers, rigidity_kernel
-from .monoids import check_saturated_bounded, is_kummer
-from .poly_ops import category_pi1
-from .splitting import band_boundary_flag, fiber_count, tate_intervals
 
 
 class InputError(Exception):
@@ -49,6 +44,8 @@ def _emit(lines: List[str], machine_lines: List[str], machine: bool):
 
 
 def cmd_split_radius(args) -> int:
+    from .splitting import band_boundary_flag, fiber_count
+
     p, h = args.p, args.h
     lines, mlines = [], []
     for tok in args.v:
@@ -65,6 +62,8 @@ def cmd_split_radius(args) -> int:
 
 
 def cmd_tate_intervals(args) -> int:
+    from .splitting import tate_intervals
+
     out = tate_intervals(args.p, Fraction(args.v), args.n, args.l, args.m)
     lines = [
         f"I1 = [{out.i1[0]}, {out.i1[1]}]  lg = {out.length1}",
@@ -81,6 +80,8 @@ def cmd_tate_intervals(args) -> int:
 
 
 def cmd_verify_rigidity(args) -> int:
+    from .graphs import rigidity_kernel
+
     _, G = _load_document(args.input, expect=("graph", "metric-graph"))
     basis, warnings = rigidity_kernel(G, args.max_degree)
     lines = [f"kernel dimension = {len(basis)}"]
@@ -101,8 +102,12 @@ def cmd_pi1(args) -> int:
         args.input, expect=("graph-of-groups", "polysimplicial")
     )
     if kind == "graph-of-groups":
+        from .gog import pi1_presentation
+
         pres = pi1_presentation(obj).simplify()
     else:
+        from .poly_ops import category_pi1
+
         base = sorted(obj.cells)[0] if args.base is None else args.base
         pres = category_pi1(obj, base).simplify()
     lines = [f"presentation = {pres.describe()}"]
@@ -119,8 +124,12 @@ def cmd_abelianize(args) -> int:
         args.input, expect=("graph-of-groups", "polysimplicial")
     )
     if kind == "graph-of-groups":
+        from .gog import abelianized_pi1
+
         ab = abelianized_pi1(obj)
     else:
+        from .poly_ops import category_pi1
+
         base = sorted(obj.cells)[0] if args.base is None else args.base
         ab = category_pi1(obj, base).abelianization()
     _emit(
@@ -142,6 +151,8 @@ def _parse_primes(tokens) -> List[int]:
 
 
 def cmd_saturation_check(args) -> int:
+    from .monoids import check_saturated_bounded
+
     _, phi = _load_document(args.input, expect=("morphism",))
     primes = _parse_primes(args.primes)
     out = check_saturated_bounded(phi, primes, args.bound)
@@ -158,6 +169,8 @@ def cmd_saturation_check(args) -> int:
 
 
 def cmd_kummer_check(args) -> int:
+    from .monoids import is_kummer
+
     _, phi = _load_document(args.input, expect=("morphism",))
     primes = _parse_primes(args.primes) if args.primes else []
     ok, witness = is_kummer(phi, primes, multiplier_bound=args.bound)
@@ -187,6 +200,8 @@ def cmd_faces(args) -> int:
 
 
 def cmd_cover_enum(args) -> int:
+    from .graphs import enumerate_covers
+
     _, G = _load_document(args.input, expect=("graph", "metric-graph"))
     covers = enumerate_covers(G, args.max_degree)
     lines = [f"covers of degree {args.max_degree} = {len(covers)}"]
@@ -203,6 +218,8 @@ def cmd_cover_enum(args) -> int:
 
 
 def cmd_current_group(args) -> int:
+    from .currents import current_group
+
     kind, obj = _load_document(
         args.input, expect=("graph", "metric-graph", "current")
     )
@@ -226,6 +243,8 @@ def cmd_current_group(args) -> int:
 
 
 def cmd_cospec(args) -> int:
+    from .cospec import cospec_strata
+
     _, doc = _load_document(args.input, expect=("poset",))
     if doc.s2 is None or doc.incidence is None:
         raise InputError(f"{args.input}: cospec needs s1, s2 and incidence pairs")
@@ -237,6 +256,8 @@ def cmd_cospec(args) -> int:
 
 
 def cmd_schreier(args) -> int:
+    from .gog import schreier_extension
+
     _, data = _load_document(args.input, expect=("extension-data",))
     ext = schreier_extension(data)
     E = ext.group
@@ -337,10 +358,12 @@ def main(argv=None) -> int:
     except (InputError, DocumentError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
-    except CospecError as exc:
-        print(f"cospecialization failure: {exc}", file=sys.stderr)
-        return 1
     except (ValueError, KeyError) as exc:
+        from .cospec import CospecError
+
+        if isinstance(exc, CospecError):
+            print(f"cospecialization failure: {exc}", file=sys.stderr)
+            return 1
         print(f"input error: {exc}", file=sys.stderr)
         return 2
 

@@ -10,14 +10,17 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
 
-from .graphs import BranchGraph, MetricGraph
-from .currents import Current
-from .gog import ExtensionData, FiniteGroup, GraphOfFiniteGroups
-from .monoids import AffineMonoid, MonoidMorphism
-from .cospec import ClosureIncidence, Poset
-from .poly import Element, LambdaMorphism, PolysimplicialSet
+# each loader imports the library module it builds from, so parsing a
+# document loads only the modules its kind needs
+if TYPE_CHECKING:
+    from .cospec import ClosureIncidence, Poset
+    from .currents import Current
+    from .gog import ExtensionData, FiniteGroup, GraphOfFiniteGroups
+    from .graphs import BranchGraph, MetricGraph
+    from .monoids import AffineMonoid, MonoidMorphism
+    from .poly import LambdaMorphism, PolysimplicialSet
 
 KINDS = (
     "graph",
@@ -183,11 +186,15 @@ def _graph_parts(node: Node):
 
 
 def load_graph(node: Node) -> BranchGraph:
+    from .graphs import BranchGraph
+
     vertices, edges, _ = _graph_parts(node)
     return BranchGraph(vertices, edges)
 
 
 def load_metric_graph(node: Node) -> MetricGraph:
+    from .graphs import MetricGraph
+
     vertices, edges, lengths = _graph_parts(node)
     missing = sorted(set(edges) - set(lengths))
     if missing:
@@ -196,6 +203,8 @@ def load_metric_graph(node: Node) -> MetricGraph:
 
 
 def dump_graph(G: BranchGraph, kind: str = "graph") -> str:
+    from .graphs import MetricGraph
+
     node = Node()
     node.entries.append((("kind",), (kind,)))
     node.entries.append((("vertices",), tuple(G.vertices)))
@@ -210,6 +219,8 @@ def dump_graph(G: BranchGraph, kind: str = "graph") -> str:
 
 
 def load_current(node: Node) -> Current:
+    from .currents import Current
+
     G = load_graph(node.one_child("graph"))
     modulus = node.maybe_one("modulus")
     modulus = as_int(modulus[0]) if modulus else None
@@ -225,6 +236,8 @@ def load_current(node: Node) -> Current:
 
 
 def load_monoid(node: Node) -> AffineMonoid:
+    from .monoids import AffineMonoid
+
     dim = as_int(node.one("dim")[0])
     gens = [tuple(as_int(t) for t in val) for _, val in node.scalars("gen")]
     return AffineMonoid(dim, gens)
@@ -240,6 +253,8 @@ def dump_monoid(P: AffineMonoid) -> str:
 
 
 def load_morphism(node: Node) -> MonoidMorphism:
+    from .monoids import MonoidMorphism
+
     src = load_monoid(node.one_child("source"))
     tgt = load_monoid(node.one_child("target"))
     rows = [tuple(as_int(t) for t in val) for _, val in node.scalars("row")]
@@ -277,6 +292,8 @@ def _morphism_tokens(g: LambdaMorphism) -> Tuple[str, ...]:
 
 
 def _parse_morphism(tokens: Sequence[str]) -> LambdaMorphism:
+    from .poly import LambdaMorphism
+
     if len(tokens) < 2:
         raise DocumentError("morphism needs source, target and mapping")
     src = _parse_index(tokens[0])
@@ -286,7 +303,7 @@ def _parse_morphism(tokens: Sequence[str]) -> LambdaMorphism:
 
 
 def load_polysimplicial(node: Node) -> PolysimplicialSet:
-    from .poly import identity
+    from .poly import Element, PolysimplicialSet, identity
 
     cells = {}
     for key, val in node.scalars("cell"):
@@ -378,11 +395,15 @@ def dump_polysimplicial(C: PolysimplicialSet) -> str:
 
 
 def _load_table(block: Node) -> FiniteGroup:
+    from .gog import FiniteGroup
+
     rows = [tuple(as_int(t) for t in val) for _, val in block.scalars("row")]
     return FiniteGroup(rows)
 
 
 def load_graph_of_groups(node: Node) -> GraphOfFiniteGroups:
+    from .gog import GraphOfFiniteGroups
+
     G = load_graph(node.one_child("graph"))
     vgroups = {}
     for key, block in node.children("vertex-group"):
@@ -409,12 +430,16 @@ class PosetDocument:
 
 
 def _load_single_poset(block: Node) -> Poset:
+    from .cospec import Poset
+
     elements = list(block.one("elements"))
     le = [(val[0], val[1]) for _, val in block.scalars("le")]
     return Poset(elements, le)
 
 
 def load_poset_document(node: Node) -> PosetDocument:
+    from .cospec import ClosureIncidence
+
     s1 = _load_single_poset(node.one_child("s1"))
     s2 = None
     incidence = None
@@ -429,6 +454,8 @@ def load_poset_document(node: Node) -> PosetDocument:
 
 
 def load_extension_data(node: Node) -> ExtensionData:
+    from .gog import ExtensionData
+
     pi = _load_table(node.one_child("pi"))
     h = _load_table(node.one_child("h"))
     alpha = {}

@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graphs import Branch, BranchGraph
@@ -64,8 +65,16 @@ class FiniteGroup:
     def inv(self, a: int) -> int:
         return self.inverse[a]
 
+    @cached_property
+    def _conjugations(self) -> Tuple[Perm, ...]:
+        """Row g is the permutation x -> g x g^-1."""
+        t, n = self.table, self.order
+        return tuple(
+            tuple(t[t[g][x]][self.inverse[g]] for x in range(n)) for g in range(n)
+        )
+
     def conj_automorphism(self, g: int) -> Perm:
-        return tuple(self.op(self.op(g, x), self.inv(g)) for x in range(self.order))
+        return self._conjugations[g]
 
     def is_abelian(self) -> bool:
         return all(

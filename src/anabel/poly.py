@@ -5,8 +5,10 @@ An index is a tuple n = (n0, ..., np), either (0,) or with every entry
 the functions [m] -> [n] induced by a triple (J, f, alpha): every target
 coordinate is either constant or reads exactly one source coordinate
 through an injection, and distinct target coordinates read distinct source
-coordinates. Morphisms are compared as functions; the triple is only a
-constructor.
+coordinates. There is one interned object per function, so equality of
+morphisms is identity; the triple is only a constructor. Each morphism
+caches its triple, its epi-mono factorization and whether it is an
+isomorphism, and composition is memoized on the pair of morphism ids.
 
 A finite polysimplicial set is stored in Eilenberg-Zilber normal form:
 one cell per isomorphism class of nondegenerate polysimplexes, the
@@ -64,40 +66,60 @@ def concat_index(a: PolyIndex, b: PolyIndex) -> PolyIndex:
     return parts if parts else (0,)
 
 
+# One object per function: key() -> its morphism. Only functions known to
+# lie in the category enter, so a rejected function is derived, and raises,
+# every time it is presented; entries are never removed, so `id` stays unique.
+_INTERNED: Dict[Tuple, "LambdaMorphism"] = {}
+# (second.id, first.id) -> second after first
+_COMPOSITES: Dict[Tuple[int, int], "LambdaMorphism"] = {}
+
+
 class LambdaMorphism:
-    """A morphism of the index category, stored as its induced function."""
+    """A morphism of the index category, stored as its induced function.
 
-    __slots__ = ("source", "target", "mapping")
+    There is one interned object per function (source, target, mapping), so
+    equality is identity. Each object has a small integer `id`, keeps the
+    hash of key(), and caches its structure, its epi-mono factorization and
+    whether it is an isomorphism.
+    """
 
-    def __init__(self, source, target, mapping: Sequence[Point], _checked=False):
+    __slots__ = ("source", "target", "mapping", "id", "_key", "_hash",
+                 "_structure", "_factors", "_iso")
+
+    def __new__(cls, source, target, mapping: Sequence[Point], _checked=False):
         if _checked:
             # trusted construction inside this module: checked indices, point
             # tuples, and a function already known to lie in the category
-            self.source, self.target = source, target
-            self.mapping = tuple(mapping)
-            return
-        self.source = check_index(source)
-        self.target = check_index(target)
-        self.mapping = tuple(tuple(p) for p in mapping)
-        if len(self.mapping) != len(points(self.source)):
+            key = (source, target, tuple(mapping))
+            hit = _INTERNED.get(key)
+            return hit if hit is not None else _intern(key, None)
+        source, target = check_index(source), check_index(target)
+        mapping = tuple(tuple(p) for p in mapping)
+        if len(mapping) != len(points(source)):
             raise ValueError("mapping length does not match the source")
-        if not _checked:
-            structure_of(self)  # raises if the function is not in the category
+        key = (source, target, mapping)
+        hit = _INTERNED.get(key)
+        if hit is None:
+            # raises if the function is not in the category
+            return _intern(key, _derive_structure(source, target, mapping))
+        structure_of(hit)
+        return hit
+
+    def __reduce__(self):
+        # copies and unpickled objects go through the intern table
+        return (LambdaMorphism, self._key)
 
     def __call__(self, p: Point) -> Point:
         return self.mapping[point_pos(self.source)[p]]
 
     def key(self):
-        return (self.source, self.target, self.mapping)
-
-    def __eq__(self, other):
-        return isinstance(other, LambdaMorphism) and self.key() == other.key()
+        return self._key
 
     def __hash__(self):
-        return hash(self.key())
+        return self._hash
 
     def __lt__(self, other):
-        return self.key() < other.key()
+        return self._key < other._key
 
     def __repr__(self):
         return f"Lambda({self.source}->{self.target})"
@@ -109,10 +131,13 @@ class LambdaMorphism:
         return len(set(self.mapping)) == len(points(self.target))
 
     def is_iso(self) -> bool:
-        return (
-            len(points(self.source)) == len(points(self.target))
-            and self.is_injective()
-        )
+        iso = self._iso
+        if iso is None:
+            iso = self._iso = (
+                len(points(self.source)) == len(points(self.target))
+                and self.is_injective()
+            )
+        return iso
 
     def inverse(self) -> "LambdaMorphism":
         if not self.is_iso():
@@ -124,29 +149,41 @@ class LambdaMorphism:
         )
 
 
+def _intern(key, structure) -> LambdaMorphism:
+    g = object.__new__(LambdaMorphism)
+    g.source, g.target, g.mapping = key
+    g.id = len(_INTERNED)
+    g._key = key
+    g._hash = hash(key)
+    g._structure = structure
+    g._factors = None
+    g._iso = None
+    _INTERNED[key] = g
+    return g
+
+
 def compose(second: LambdaMorphism, first: LambdaMorphism) -> LambdaMorphism:
     """second after first."""
+    ids = (second.id, first.id)
+    hit = _COMPOSITES.get(ids)
+    if hit is not None:
+        return hit
     if first.target != second.source:
         raise ValueError(f"cannot compose {second!r} after {first!r}")
     pos = point_pos(second.source)
     table = second.mapping
-    return LambdaMorphism(
+    out = _COMPOSITES[ids] = LambdaMorphism(
         first.source,
         second.target,
         tuple(table[pos[q]] for q in first.mapping),
         _checked=True,
     )
+    return out
 
 
 def identity(n: PolyIndex) -> LambdaMorphism:
     n = check_index(n)
     return LambdaMorphism(n, n, points(n), _checked=True)
-
-
-# Memos keyed on LambdaMorphism.key(). Only successes are stored, so a
-# function outside the category raises every time it is presented.
-_STRUCTURES: Dict[Tuple, Tuple] = {}
-_FACTORS: Dict[Tuple, Tuple["LambdaMorphism", "LambdaMorphism"]] = {}
 
 
 def structure_of(gamma: LambdaMorphism):
@@ -155,20 +192,20 @@ def structure_of(gamma: LambdaMorphism):
     Returns per target coordinate either ("const", value) or
     ("track", source_coord, alpha) with alpha the injective value table.
     """
-    key = gamma.key()
-    hit = _STRUCTURES.get(key)
+    hit = gamma._structure
     if hit is None:
-        hit = _STRUCTURES[key] = _derive_structure(gamma)
+        hit = gamma._structure = _derive_structure(
+            gamma.source, gamma.target, gamma.mapping)
     return hit
 
 
-def _derive_structure(gamma: LambdaMorphism):
-    m, n = gamma.source, gamma.target
+def _derive_structure(m: PolyIndex, n: PolyIndex, mapping: Tuple[Point, ...]):
     src_pts = points(m)
+    pos = point_pos(m)
     out = []
     tracked_sources = set()
     for l in range(len(n)):
-        values = [img[l] for img in gamma.mapping]
+        values = [img[l] for img in mapping]
         if all(v == values[0] for v in values):
             out.append(("const", values[0]))
             continue
@@ -182,7 +219,7 @@ def _derive_structure(gamma: LambdaMorphism):
             for a in range(m[j] + 1):
                 q = list(base)
                 q[j] = a
-                table.append(gamma(tuple(q))[l])
+                table.append(mapping[pos[tuple(q)]][l])
             if len(set(table)) != m[j] + 1:
                 ok = False
             if ok:
@@ -292,17 +329,14 @@ def epis_onto(m: PolyIndex, n: PolyIndex) -> Tuple[LambdaMorphism, ...]:
 
 def epi_mono_factor(gamma: LambdaMorphism) -> Tuple[LambdaMorphism, LambdaMorphism]:
     """gamma = mono . epi with canonically sorted middle index."""
-    key = gamma.key()
-    hit = _FACTORS.get(key)
+    hit = gamma._factors
     if hit is None:
-        hit = _FACTORS[key] = _factor(gamma)
+        hit = gamma._factors = _factor(gamma)
     return hit
 
 
 def _factor(gamma: LambdaMorphism) -> Tuple[LambdaMorphism, LambdaMorphism]:
-    # derived afresh: each key is factored once, and memoizing the
-    # structure of every transient composite as well would only cost memory
-    struct = _derive_structure(gamma)
+    struct = structure_of(gamma)
     tracked = [(l, j, table) for l, entry in enumerate(struct)
                if entry[0] == "track"
                for j, table in [entry[1:]]]
@@ -370,8 +404,9 @@ class PolysimplicialSet:
         self.stabs = {c: frozenset(stabs.get(c, [identity(self.cells[c])]))
                       for c in self.cells}
         self.faces = dict(faces)
-        self._canon_cache: Dict[Tuple[str, Tuple], Element] = {}
-        self._act_cache: Dict[Tuple, Element] = {}
+        # keyed on (cell, epi id) and (cell, epi id, gamma id)
+        self._canon_cache: Dict[Tuple[str, int], Element] = {}
+        self._act_cache: Dict[Tuple[str, int, int], Element] = {}
         if validate:
             self.validate()
 
@@ -398,15 +433,16 @@ class PolysimplicialSet:
     # -- element calculus ------------------------------------------------------
 
     def canonical(self, elt: Element) -> Element:
-        key = (elt.cell, elt.epi.key())
+        return self._canonical(elt.cell, elt.epi)
+
+    def _canonical(self, cell: str, epi: LambdaMorphism) -> Element:
+        key = (cell, epi.id)
         hit = self._canon_cache.get(key)
-        if hit is not None:
-            return hit
-        best = min(compose(theta, elt.epi).mapping for theta in self.stabs[elt.cell])
-        out = Element(elt.cell, LambdaMorphism(
-            elt.epi.source, elt.epi.target, best, _checked=True))
-        self._canon_cache[key] = out
-        return out
+        if hit is None:
+            best = min((compose(theta, epi) for theta in self.stabs[cell]),
+                       key=_mapping_of)
+            hit = self._canon_cache[key] = Element(cell, best)
+        return hit
 
     def elements_equal(self, a: Element, b: Element) -> bool:
         return a.cell == b.cell and self.canonical(a) == self.canonical(b)
@@ -416,21 +452,21 @@ class PolysimplicialSet:
 
     def act(self, elt: Element, gamma: LambdaMorphism) -> Element:
         """The presheaf action C(gamma) applied to an element."""
-        if gamma.target != elt.level:
-            raise ValueError("morphism target does not match element level")
-        key = (elt.cell, elt.epi.key(), gamma.key())
+        key = (elt.cell, elt.epi.id, gamma.id)
         hit = self._act_cache.get(key)
         if hit is not None:
             return hit
+        if gamma.target != elt.level:
+            raise ValueError("morphism target does not match element level")
         comp = compose(elt.epi, gamma)
         tau, iota = epi_mono_factor(comp)
         if iota.is_iso():
-            out = self.canonical(Element(elt.cell, comp))
+            out = self._canonical(elt.cell, comp)
         else:
             entry = self.faces.get((elt.cell, iota))
             if entry is None:
                 raise KeyError(f"missing face entry for ({elt.cell}, {iota!r})")
-            out = self.canonical(Element(entry.cell, compose(entry.epi, tau)))
+            out = self._canonical(entry.cell, compose(entry.epi, tau))
         self._act_cache[key] = out
         return out
 
@@ -473,12 +509,12 @@ class PolysimplicialSet:
         for c, n in self.cells.items():
             base = self.cell_element(c)
             for iota in injections_into(n):
+                mid = self.act(base, iota)
                 for theta in self.stabs[c]:
-                    if self.act(base, compose(theta, iota)) != self.act(base, iota):
+                    if self.act(base, compose(theta, iota)) != mid:
                         raise ValueError(
                             f"face table of {c} is not stabilizer-coherent"
                         )
-                mid = self.act(base, iota)
                 inner = (
                     lambda_hom_all_into(iota.source)
                     if deep
@@ -516,6 +552,10 @@ class PolysimplicialSet:
                         le.add((a, d))
                         changed = True
         return le
+
+
+def _mapping_of(g: LambdaMorphism):
+    return g.mapping
 
 
 def lambda_hom_all_into(target: PolyIndex) -> List[LambdaMorphism]:

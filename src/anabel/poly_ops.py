@@ -116,7 +116,7 @@ class _UnionFind:
 
 def _elt_key(C: PolysimplicialSet, e: Element):
     e = C.canonical(e)
-    return (e.level, e.cell, e.epi.mapping)
+    return (e.level, e.cell, e.epi)
 
 
 @dataclass
@@ -598,9 +598,7 @@ def _category_presentation(
     if len(seen) != len(objs):
         raise ValueError("complex is disconnected")
     gen_names = [f"m{k}" for k in range(len(morphisms))]
-    mor_pos = {
-        (a, b, gamma.key()): k for k, (a, b, gamma) in enumerate(morphisms)
-    }
+    mor_pos = {(a, b, gamma): k for k, (a, b, gamma) in enumerate(morphisms)}
     relators = []
     for k1, (a1, b1, g1) in enumerate(morphisms):
         for k2 in outgoing[b1]:
@@ -610,7 +608,7 @@ def _category_presentation(
             if a1 == b2 and comp == identity(objs[a1].level):
                 relators.append((k2 + 1, k1 + 1))
                 continue
-            k3 = mor_pos.get((a1, b2, comp.key()))
+            k3 = mor_pos.get((a1, b2, comp))
             if k3 is None:
                 raise AssertionError("morphism composition left the category")
             relators.append((k2 + 1, k1 + 1, -(k3 + 1)))

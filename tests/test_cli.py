@@ -116,3 +116,30 @@ def test_malformed_extension_exit_code(tmp_path, old, new):
     assert proc.stderr.startswith("input error: ")
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_cospec_failure_exit_code(tmp_path):
+    # a is minimal in s1, but the unique maximum of its fiber, y, is not
+    # minimal in s2
+    doc = tmp_path / "bad.poset"
+    doc.write_text(
+        "kind = poset\ns1:\n  elements = a b\ns2:\n  elements = x y\n  le = x y\n"
+        "pair = x a\npair = x b\npair = y a\npair = y b\n"
+    )
+    proc = run_cli(["cospec", "--input", str(doc)])
+    assert proc.returncode == 1
+    assert proc.stderr == (
+        "cospecialization failure: minimal stratum a maps to the non-minimal y\n"
+    )
+
+
+def test_cli_import_loads_no_library_module():
+    # each subcommand imports the modules it runs; start-up pays for none
+    code = ("import sys, anabel.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith('anabel')))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        cwd=str(pathlib.Path(__file__).parent.parent),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "['anabel', 'anabel.cli', 'anabel.documents']"

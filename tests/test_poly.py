@@ -13,6 +13,7 @@ from anabel.poly import (
     check_index,
     compose,
     epi_mono_factor,
+    from_triple,
     identity,
     index_dim,
     injections_into,
@@ -137,6 +138,114 @@ def test_epi_mono_factorization():
             assert mono.is_injective()
             assert compose(mono, epi) == g
             assert canonical_index(epi.target) == epi.target
+
+
+def test_equal_functions_are_one_object():
+    ident = identity((1,))
+    flip = next(g for g in automorphisms((1,)) if g is not ident)
+    assert LambdaMorphism((1,), (1,), [(0,), (1,)]) is ident
+    assert LambdaMorphism([1], [1], [[1], [0]]) is flip
+    assert from_triple((1,), (1,), {0: (0, (1, 0))}, {}) is flip
+    assert compose(flip, flip) is ident
+    assert flip.inverse() is flip
+    for g in automorphisms((1, 1)):
+        assert compose(g, g.inverse()) is identity((1, 1))
+        assert g.inverse().inverse() is g
+    homs = {g for m, n in [((0,), (1,)), ((1,), (2,)), ((1, 1), (2,)), ((2,), (1, 1))]
+            for g in lambda_hom(m, n)}
+    for g in homs:
+        assert LambdaMorphism(g.source, g.target, list(g.mapping)) is g
+        assert g == LambdaMorphism(g.source, g.target, g.mapping)
+        assert hash(g) == hash(g.key())
+        for part in epi_mono_factor(g):
+            assert part in lambda_hom(part.source, part.target)
+    assert len({g.id for g in homs}) == len(homs)
+
+
+def _reference_structure(gamma):
+    # the triple, re-derived with no memo: per target coordinate a constant,
+    # or the one source coordinate it reads through an injective table
+    m, n = gamma.source, gamma.target
+    src_pts = points(m)
+    out, read = [], set()
+    for l in range(len(n)):
+        values = [img[l] for img in gamma.mapping]
+        if len(set(values)) == 1:
+            out.append(("const", values[0]))
+            continue
+        found = None
+        for j in range(len(m) if m != (0,) else 0):
+            table = {}
+            if all(table.setdefault(p[j], v) == v for p, v in zip(src_pts, values)):
+                if len(set(table.values())) == m[j] + 1:
+                    found = (j, tuple(table[a] for a in range(m[j] + 1)))
+                    break
+        if found is None or found[0] in read:
+            raise ValueError("not a morphism")
+        read.add(found[0])
+        out.append(("track",) + found)
+    return tuple(out)
+
+
+def _reference_factor(gamma):
+    """(middle index, epi mapping, mono mapping) of the canonical
+    epi-mono factorization, with no memo."""
+    struct = _reference_structure(gamma)
+    tracked = sorted(
+        ((l, e[1], e[2]) for l, e in enumerate(struct) if e[0] == "track"),
+        key=lambda t: (-gamma.source[t[1]], t[1]),
+    )
+    if not tracked:
+        return (0,), tuple((0,) for _ in gamma.mapping), (gamma.mapping[0],)
+    mid = tuple(gamma.source[j] for _, j, _ in tracked)
+    epi = tuple(tuple(p[j] for _, j, _ in tracked) for p in points(gamma.source))
+    reads = {l: (k, table) for k, (l, _, table) in enumerate(tracked)}
+    mono = tuple(
+        tuple(reads[l][1][q[reads[l][0]]] if l in reads else struct[l][1]
+              for l in range(len(gamma.target)))
+        for q in points(mid)
+    )
+    return mid, epi, mono
+
+
+HOM_INDICES = [(0,), (1,), (2,), (1, 1), (2, 1), (1, 1, 1)]
+
+
+def test_memoized_morphism_calculus_matches_reference():
+    homs = {(a, b): lambda_hom(a, b) for a in HOM_INDICES for b in HOM_INDICES}
+    for (a, b), gs in homs.items():
+        for g in gs:
+            assert structure_of(g) == _reference_structure(g)
+            mid, epi_map, mono_map = _reference_factor(g)
+            for _ in range(2):  # the second call reads the memo
+                epi, mono = epi_mono_factor(g)
+                assert (epi.source, epi.target, epi.mapping) == (a, mid, epi_map)
+                assert (mono.source, mono.target, mono.mapping) == (mid, b, mono_map)
+    pos = {n: {p: i for i, p in enumerate(points(n))} for n in HOM_INDICES}
+    for a, b, c in itertools.product(HOM_INDICES, repeat=3):
+        pos_b = pos[b]
+        for g1 in homs[(a, b)]:
+            for g2 in homs[(b, c)]:
+                got = compose(g2, g1)
+                want = tuple(g2.mapping[pos_b[q]] for q in g1.mapping)
+                assert (got.source, got.target, got.mapping) == (a, c, want)
+                assert compose(g2, g1) is got
+
+
+def test_rejected_function_leaves_no_intern_entry():
+    from anabel import poly
+
+    before = len(poly._INTERNED)
+    for source, target, mapping in [
+        ((1,), (1, 1), ((0, 0), (1, 1))),  # reads one coordinate twice
+        ((2,), (1,), ((0,), (1,), (0,))),  # reads through a non-injection
+        ((0,), (1,), ((0,), (1,))),  # wrong length
+    ]:
+        for _ in range(2):
+            with pytest.raises(ValueError):
+                LambdaMorphism(source, target, mapping)
+            assert (source, target, mapping) not in poly._INTERNED
+    assert len(poly._INTERNED) == before
 
 
 def test_representable_cells():

@@ -1,6 +1,8 @@
-"""Stress tests for the normal-form machinery: larger stabilizers and
-randomized quotients, all deep-validated."""
+"""Stress tests for the normal-form machinery: larger stabilizers,
+randomized quotients and a seeded corpus of constructor outputs, all
+deep-validated."""
 
+import os
 import random
 
 from anabel.poly import (
@@ -10,7 +12,9 @@ from anabel.poly import (
     disjoint_union,
     representable,
 )
-from anabel.poly_ops import quotient
+from anabel.poly_ops import PolyMorphism, coequalizer, quotient
+
+SEED = int(os.environ.get("ANABEL_SEED", "0"))
 
 
 def test_rotation_fold_of_2_simplex():
@@ -66,3 +70,48 @@ def test_random_box_products_validate_deeply():
             P.euler_characteristic()
             == A.euler_characteristic() * B.euler_characteristic()
         )
+
+
+def _circle():
+    L1, P = representable((1,)), representable((0,))
+    f = PolyMorphism.from_cells(P, L1, {"s0": L1.cell_element("s0")})
+    g = PolyMorphism.from_cells(P, L1, {"s0": L1.cell_element("s1")})
+    return coequalizer(f, g).complex
+
+
+def _random_polygon(rng, n):
+    """n intervals glued in a cycle, each reversed with probability 1/2."""
+    U = representable((1,))
+    names = [""]
+    for _ in range(n - 1):
+        U = disjoint_union(representable((1,)), U)
+        names = ["L."] + ["R." + p for p in names]
+    ends = [("s1", "s0") if rng.random() < 0.5 else ("s0", "s1") for _ in range(n)]
+    seeds = [(U.cell_element(names[i] + ends[i][1]),
+              U.cell_element(names[(i + 1) % n] + ends[(i + 1) % n][0]))
+             for i in range(n)]
+    return quotient(U, seeds).complex
+
+
+def test_constructor_corpus_validates_deeply():
+    # every constructor output is deep-validated, on top of the shallow
+    # validation each construction runs
+    rng = random.Random(SEED)
+    pool = [representable(n) for n in [(0,), (1,), (2,), (1, 1)]]
+    pool += [_circle()] + [_random_polygon(rng, rng.randint(2, 4)) for _ in range(3)]
+    for C in pool[4:]:
+        C.validate(deep=True)
+        assert C.euler_characteristic() == 0
+    for _ in range(16):
+        A, B = rng.choice(pool), rng.choice(pool)
+        if rng.random() < 0.7 and A.dim() + B.dim() <= 3:
+            P = box_product(A, B)
+            assert len(P.cells) == len(A.cells) * len(B.cells)
+            assert (P.euler_characteristic()
+                    == A.euler_characteristic() * B.euler_characteristic())
+        else:
+            P = disjoint_union(A, B)
+            assert len(P.cells) == len(A.cells) + len(B.cells)
+            assert (P.euler_characteristic()
+                    == A.euler_characteristic() + B.euler_characteristic())
+        P.validate(deep=True)
