@@ -1,4 +1,6 @@
+import copy
 import itertools
+import pickle
 
 import pytest
 
@@ -148,6 +150,8 @@ def test_equal_functions_are_one_object():
     assert from_triple((1,), (1,), {0: (0, (1, 0))}, {}) is flip
     assert compose(flip, flip) is ident
     assert flip.inverse() is flip
+    assert copy.deepcopy(flip) is flip
+    assert pickle.loads(pickle.dumps(flip)) is flip
     for g in automorphisms((1, 1)):
         assert compose(g, g.inverse()) is identity((1, 1))
         assert g.inverse().inverse() is g
