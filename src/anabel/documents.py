@@ -134,6 +134,13 @@ def as_fraction(tok: str) -> Fraction:
         raise DocumentError(f"expected a rational a/b, got {tok!r}") from exc
 
 
+def _need(val: Tuple[str, ...], count: int, form: str) -> Tuple[str, ...]:
+    """The value tokens of an entry, which must number at least `count`."""
+    if len(val) < count:
+        raise DocumentError(f"expected an entry like: {form}")
+    return val
+
+
 def kind_of(node: Node) -> str:
     kind = node.one("kind")
     if len(kind) != 1 or kind[0] not in KINDS:
@@ -228,7 +235,8 @@ def load_current(node: Node) -> Current:
     for key, val in node.scalars("value"):
         if len(key) != 3:
             raise DocumentError("value entries look like: value <edge> <slot> = k")
-        values[(key[1], as_int(key[2]))] = as_int(val[0])
+        values[(key[1], as_int(key[2]))] = as_int(
+            _need(val, 1, "value <edge> <slot> = k")[0])
     return Current(G, values, modulus)
 
 
@@ -238,7 +246,7 @@ def load_current(node: Node) -> Current:
 def load_monoid(node: Node) -> AffineMonoid:
     from .monoids import AffineMonoid
 
-    dim = as_int(node.one("dim")[0])
+    dim = as_int(_need(node.one("dim"), 1, "dim = <n>")[0])
     gens = [tuple(as_int(t) for t in val) for _, val in node.scalars("gen")]
     return AffineMonoid(dim, gens)
 
@@ -309,9 +317,11 @@ def load_polysimplicial(node: Node) -> PolysimplicialSet:
     for key, val in node.scalars("cell"):
         if len(key) != 2:
             raise DocumentError("cell entries look like: cell <id> = n1,n2")
-        cells[key[1]] = _parse_index(val[0])
+        cells[key[1]] = _parse_index(_need(val, 1, "cell <id> = n1,n2")[0])
     stabs = {}
     for key, val in node.scalars("stab"):
+        if len(key) != 2:
+            raise DocumentError("stab entries look like: stab <id> = <morphism>")
         stabs.setdefault(key[1], set()).add(_parse_morphism(val))
     for c in cells:
         stabs.setdefault(c, set()).add(identity(cells[c]))
@@ -322,7 +332,7 @@ def load_polysimplicial(node: Node) -> PolysimplicialSet:
             raise DocumentError("face blocks look like: face <cell>:")
         cell = key[1]
         iota = _parse_morphism(block.one("along"))
-        target = block.one("target")
+        target = _need(block.one("target"), 1, "target = <cell> <morphism>")
         faces[(cell, iota)] = Element(target[0], _parse_morphism(target[1:]))
     stabs = {c: frozenset(s) for c, s in stabs.items()}
     faces = _close_faces(cells, stabs, faces)
@@ -433,7 +443,7 @@ def _load_single_poset(block: Node) -> Poset:
     from .cospec import Poset
 
     elements = list(block.one("elements"))
-    le = [(val[0], val[1]) for _, val in block.scalars("le")]
+    le = [_need(val, 2, "le = <x> <y>")[:2] for _, val in block.scalars("le")]
     return Poset(elements, le)
 
 
@@ -445,7 +455,8 @@ def load_poset_document(node: Node) -> PosetDocument:
     incidence = None
     if node.children("s2"):
         s2 = _load_single_poset(node.one_child("s2"))
-        pairs = {(val[0], val[1]) for _, val in node.scalars("pair")}
+        pairs = {_need(val, 2, "pair = <s2 element> <s1 element>")[:2]
+                 for _, val in node.scalars("pair")}
         incidence = ClosureIncidence(s1, s2, pairs)
     return PosetDocument(s1, s2, incidence)
 

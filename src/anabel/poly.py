@@ -100,6 +100,10 @@ class LambdaMorphism:
         key = (source, target, mapping)
         hit = _INTERNED.get(key)
         if hit is None:
+            tpos = point_pos(target)
+            bad = next((p for p in mapping if p not in tpos), None)
+            if bad is not None:
+                raise ValueError(f"image point {bad} is not a point of {target}")
             # raises if the function is not in the category
             return _intern(key, _derive_structure(source, target, mapping))
         structure_of(hit)
@@ -323,6 +327,38 @@ def injections_into(n: PolyIndex) -> Tuple[LambdaMorphism, ...]:
 
 
 @lru_cache(maxsize=None)
+def _generators_into(m: PolyIndex) -> Tuple[LambdaMorphism, ...]:
+    """Injections into [m] whose composites give every injection into [m].
+
+    Generators of Aut([m]): on each coordinate the swap of 0 and 1 and the
+    cycle v -> v+1, plus the swaps of adjacent equal coordinates. And one
+    codimension-1 coface per distinct coordinate size, which drops the last
+    point of the first coordinate of that size, or makes it constant 0 when
+    the size is 1.
+    """
+    if m == (0,):
+        return ()
+    ident = {l: (l, tuple(range(x + 1))) for l, x in enumerate(m)}
+    gens = set()
+    for l, x in enumerate(m):
+        for table in ((1, 0) + ident[l][1][2:], ident[l][1][1:] + (0,)):
+            gens.add(from_triple(m, m, {**ident, l: (l, table)}, {}, _checked=True))
+        if l + 1 < len(m) and m[l + 1] == x:
+            swap = {**ident, l: (l + 1, ident[l][1]), l + 1: (l, ident[l][1])}
+            gens.add(from_triple(m, m, swap, {}, _checked=True))
+    for x in set(m):
+        l = m.index(x)
+        sizes = [y - (t == l) for t, y in enumerate(m)]
+        kept = sorted((t for t in range(len(m)) if sizes[t]),
+                      key=lambda t: (-sizes[t], t))
+        tracked = {t: (k, tuple(range(sizes[t] + 1))) for k, t in enumerate(kept)}
+        source = tuple(sizes[t] for t in kept) or (0,)
+        gens.add(from_triple(source, m, tracked, {} if sizes[l] else {l: 0},
+                             _checked=True))
+    return tuple(sorted(gens))
+
+
+@lru_cache(maxsize=None)
 def epis_onto(m: PolyIndex, n: PolyIndex) -> Tuple[LambdaMorphism, ...]:
     return tuple(g for g in lambda_hom(m, n) if g.is_surjective())
 
@@ -483,6 +519,43 @@ class PolysimplicialSet:
     # -- structural checks ------------------------------------------------------
 
     def validate(self, deep: bool = False):
+        """Check the normal-form tables and raise ValueError on a fault.
+
+        Checks that each stabilizer is a subgroup of Aut([n]) and that each
+        non-invertible injection into [n] has a normal face entry of no
+        larger dimension. Then, writing x(d, f) = act(cell_element(d), f),
+        x|g = act(x, g) and f*g for f after g, for each cell c and each
+        injection iota into [n]:
+          (S) x(c, t*iota) = x(c, iota) for t in the stabilizer of c;
+          (P) x(c, iota)|g = x(c, iota*g) for g in _generators_into(iota's
+              source), or for every morphism g into it when deep.
+        These imply (P) for every injection g.
+
+        Proof. By construction of act, (d, e)|g = x(d, e*g); for the
+        epi-mono factorization f = mu*tau, x(d, f) = x(d, mu)|tau; and
+        acting by an epi only composes and canonicalizes. So (S) gives
+        x(d, t*f) = x(d, f) for every f, and (P) along automorphisms gives
+        (E) x(d, f)|e = x(d, f*e) for every epi e. Induct on (dim c, word
+        length of g in the generators). If iota is invertible,
+        x(c, iota) = (c, t*iota) with t in the stabilizer, so
+        x(c, iota)|g = x(c, t*iota*g) = x(c, iota*g) by (S). Otherwise
+        x(c, iota) = (d, e) with dim d < dim c, and for g = h*g' with h a
+        generator, x(c, iota)|g = (x(c, iota)|h)|g' by (M) at d,
+        = x(c, iota*h)|g' by (P) at h, = x(c, iota*h*g') by induction on
+        word length. (M) is (x|p)|q = x|(p*q) for x = (d, e) and
+        injections p, q, given (P) at cells of dimension <= dim d: factor
+        e*p = mu*tau and tau*q = mu'*tau'; as mu is injective,
+        mu*mu'*tau' is the factorization of e*p*q, and by (P) at d and by
+        (S) and (E) at the cell of x(d, mu), both sides are
+        (x(d, mu)|mu')|tau'.
+
+        The generators generate: an injection into [m] that is not
+        invertible misses a point of some coordinate or is constant on it.
+        An automorphism s carries that coordinate and point to the ones
+        the coface h of that coordinate size drops, so the injection is
+        s*h*g' with g' into a smaller index; Aut([m]) is finite, so s is a
+        word in the automorphism generators.
+        """
         for c, n in self.cells.items():
             stab = self.stabs[c]
             auts = set(automorphisms(n))
@@ -504,8 +577,7 @@ class PolysimplicialSet:
                     raise ValueError(f"face entry of {c} at {iota!r} is not normal")
                 if index_dim(entry.epi.source) > index_dim(n):
                     raise ValueError("face raises dimension")
-        # stabilizer coherence and functoriality on composable injections;
-        # general morphisms factor through these via epi-mono decomposition
+        # stabilizer coherence and functoriality along generators (see above)
         for c, n in self.cells.items():
             base = self.cell_element(c)
             for iota in injections_into(n):
@@ -518,7 +590,7 @@ class PolysimplicialSet:
                 inner = (
                     lambda_hom_all_into(iota.source)
                     if deep
-                    else injections_into(iota.source)
+                    else _generators_into(iota.source)
                 )
                 for gamma in inner:
                     lhs = self.act(mid, gamma)

@@ -143,3 +143,20 @@ def test_cli_import_loads_no_library_module():
     )
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "['anabel', 'anabel.cli', 'anabel.documents']"
+
+
+@pytest.mark.parametrize("command,doc,old,new", [
+    ("faces", "n2.monoid", "dim = 2", "dim ="),
+    ("cospec", "chain.poset", "pair = x a", "pair = x"),
+    ("pi1", "torus.poly", "along = 1 1,1 0.0 0.1", "along = 1 1,1 99 0.0"),
+])
+def test_malformed_document_exit_code(tmp_path, command, doc, old, new):
+    text = (DATA / doc).read_text()
+    assert old in text
+    bad = tmp_path / doc
+    bad.write_text(text.replace(old, new, 1))
+    proc = run_cli([command, "--input", str(bad)])
+    assert proc.returncode == 2
+    assert proc.stderr.startswith("input error: ")
+    assert len(proc.stderr.splitlines()) == 1
+    assert "Traceback" not in proc.stderr

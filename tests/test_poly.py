@@ -105,6 +105,25 @@ def test_rejects_diagonal_function_after_memo_is_filled():
             LambdaMorphism((1,), (1, 1), [(0, 0), (1, 1)])
 
 
+def test_generators_compose_to_every_injection():
+    # validate checks functoriality only along _generators_into; its
+    # argument needs every injection to be a word in them
+    from anabel.poly import _generators_into
+
+    for m in [(0,), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (4,),
+              (3, 1), (2, 2), (2, 1, 1)]:
+        gens = _generators_into(m)
+        assert all(g.is_injective() and g.target == m for g in gens)
+        assert len(gens) <= 3 * len(m)
+        words, frontier = {identity(m)}, [identity(m)]
+        while frontier:
+            frontier = [compose(w, g) for w in frontier
+                        for g in _generators_into(w.source)
+                        if compose(w, g) not in words]
+            words.update(frontier)
+        assert words == set(injections_into(m))
+
+
 def test_construction_still_validates():
     L1 = representable((1,))
     flip = next(g for g in automorphisms((1,)) if g != identity((1,)))
@@ -249,6 +268,20 @@ def test_rejected_function_leaves_no_intern_entry():
             with pytest.raises(ValueError):
                 LambdaMorphism(source, target, mapping)
             assert (source, target, mapping) not in poly._INTERNED
+    assert len(poly._INTERNED) == before
+
+
+def test_image_points_must_lie_in_the_target():
+    from anabel import poly
+
+    before = len(poly._INTERNED)
+    for source, target, mapping in [
+        ((1,), (1,), ((0,), (7,))),  # outside [1], and injective
+        ((1,), (1, 1), ((99,), (0, 0))),  # a point of the wrong arity
+        ((1,), (1,), ((0, 0), (1, 1))),  # every point of the wrong arity
+    ]:
+        with pytest.raises(ValueError, match="is not a point of"):
+            LambdaMorphism(source, target, mapping)
     assert len(poly._INTERNED) == before
 
 

@@ -1,15 +1,21 @@
 """Stress tests for the normal-form machinery: larger stabilizers,
 randomized quotients and a seeded corpus of constructor outputs, all
-deep-validated."""
+deep-validated; and a differential test of `validate`, which checks
+functoriality along generators, against the all-pairs check."""
 
 import os
 import random
 
 from anabel.poly import (
     Element,
+    PolysimplicialSet,
     automorphisms,
     box_product,
+    compose,
     disjoint_union,
+    identity,
+    index_dim,
+    injections_into,
     representable,
 )
 from anabel.poly_ops import PolyMorphism, coequalizer, quotient
@@ -115,3 +121,130 @@ def test_constructor_corpus_validates_deeply():
             assert (P.euler_characteristic()
                     == A.euler_characteristic() + B.euler_characteristic())
         P.validate(deep=True)
+
+
+def _reference_validate(C):
+    """The all-pairs check: functoriality for every pair of composable
+    injections."""
+    for c, n in C.cells.items():
+        stab = C.stabs[c]
+        auts = set(automorphisms(n))
+        if not stab <= auts:
+            raise ValueError(f"stabilizer of {c} is not a set of automorphisms")
+        for a in stab:
+            for b in stab:
+                if compose(a, b) not in stab:
+                    raise ValueError(f"stabilizer of {c} is not a subgroup")
+        if identity(n) not in stab:
+            raise ValueError(f"stabilizer of {c} misses the identity")
+        for iota in injections_into(n):
+            if iota.is_iso():
+                continue
+            entry = C.faces.get((c, iota))
+            if entry is None:
+                raise ValueError(f"missing face of {c} along {iota!r}")
+            if not entry.epi.is_surjective():
+                raise ValueError(f"face entry of {c} at {iota!r} is not normal")
+            if index_dim(entry.epi.source) > index_dim(n):
+                raise ValueError("face raises dimension")
+    for c, n in C.cells.items():
+        base = C.cell_element(c)
+        for iota in injections_into(n):
+            mid = C.act(base, iota)
+            for theta in C.stabs[c]:
+                if C.act(base, compose(theta, iota)) != mid:
+                    raise ValueError(f"face table of {c} is not stabilizer-coherent")
+            for gamma in injections_into(iota.source):
+                if C.act(mid, gamma) != C.act(base, compose(iota, gamma)):
+                    raise ValueError(f"functoriality fails at cell {c}")
+
+
+def _verdicts(cells, stabs, faces, deep):
+    """Acceptance of the tables by validate, the reference and, if deep,
+    validate(deep=True), each on a fresh object so no act cache is shared."""
+    checks = [PolysimplicialSet.validate, _reference_validate]
+    if deep:
+        checks.append(lambda C: C.validate(deep=True))
+    out = []
+    for check in checks:
+        C = PolysimplicialSet(cells, stabs, faces, validate=False)
+        try:
+            check(C)
+            out.append(True)
+        except (ValueError, KeyError):
+            out.append(False)
+    return out
+
+
+def _fold():
+    L1 = representable((1,))
+    flip = next(g for g in automorphisms((1,)) if g != identity((1,)))
+    return quotient(L1, [(L1.cell_element("s0"), L1.cell_element("s1")),
+                         (L1.cell_element("s01"), Element("s01", flip))]).complex
+
+
+def _corruptions(rng, C):
+    """Copies of C's tables, each with one seeded fault: a face entry
+    rewired to another normal element at its level, the entry along
+    iota after theta set to the one along iota, a stabilizer element added and
+    one dropped."""
+    faces = sorted(C.faces, key=lambda k: (k[0], k[1].key()))
+    if faces:
+        key = rng.choice(faces)
+        current = C.canonical(C.faces[key])
+        others = [e for e in C.elements_at(key[1].source) if e != current]
+        if others:
+            yield "rewired face", C.stabs, {**C.faces, key: rng.choice(others)}
+        twistable = [k for k in faces if k[1].source != (0,)]
+        if twistable:
+            c, iota = rng.choice(twistable)
+            auts = [g for g in automorphisms(iota.source)
+                    if g != identity(iota.source)]
+            twisted = (c, compose(iota, rng.choice(auts)))
+            yield "twisted face", C.stabs, {**C.faces, twisted: C.faces[(c, iota)]}
+    cells = sorted(c for c in C.cells if C.cells[c] != (0,))
+    if cells:
+        c = rng.choice(cells)
+        extra = sorted(set(automorphisms(C.cells[c])) - C.stabs[c])
+        # prefer an element that keeps the stabilizer a group, so that the
+        # coherence checks decide
+        closed = [a for a in extra
+                  if all(compose(a, b) in C.stabs[c] | {a} for b in C.stabs[c] | {a})]
+        if extra:
+            added = rng.choice(closed or extra)
+            yield "stabilizer added", {**C.stabs, c: C.stabs[c] | {added}}, C.faces
+    stabbed = sorted(c for c in C.cells if len(C.stabs[c]) > 1)
+    if stabbed:
+        c = rng.choice(stabbed)
+        dropped = rng.choice(sorted(C.stabs[c] - {identity(C.cells[c])}))
+        yield "stabilizer dropped", {**C.stabs, c: C.stabs[c] - {dropped}}, C.faces
+
+
+def test_generator_validation_matches_all_pairs_reference():
+    rng = random.Random(SEED)
+    pool = [representable(n) for n in
+            [(0,), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]]
+    pool += [_circle(), _fold()] + [_random_polygon(rng, n) for n in (3, 4, 5)]
+    small = pool[1:4] + pool[7:]  # dimension <= 2
+    for _ in range(6):
+        A, B = rng.choice(small), rng.choice(small)
+        if rng.random() < 0.6 and A.dim() + B.dim() <= 3:
+            pool.append(box_product(A, B))
+        else:
+            pool.append(disjoint_union(A, B))
+    disagreements = []
+    rejected = 0
+    for i, C in enumerate(pool):
+        deep = C.dim() <= 2
+        assert _verdicts(C.cells, C.stabs, C.faces, deep) == [True] * (2 + deep)
+        # eight rounds of corruptions: in a copy of validate without the
+        # automorphism generators, or without the cofaces, fewer rounds
+        # left some seeds with no disagreement
+        for what, stabs, faces in [f for _ in range(8)
+                                   for f in _corruptions(rng, C)]:
+            verdicts = _verdicts(C.cells, stabs, faces, deep)
+            rejected += not verdicts[1]
+            if len(set(verdicts)) > 1:
+                disagreements.append((i, what, verdicts))
+    assert not disagreements
+    assert rejected >= len(pool)
