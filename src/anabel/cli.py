@@ -1,7 +1,8 @@
 """Command-line frontend: load documents, run computations, print reports.
 
 Exit codes: 0 success (and property true), 1 property false (for example a
-nontrivial rigidity kernel), 2 input or precondition error. Output is
+nontrivial rigidity kernel), 2 input or precondition error, 3 internal
+error (a fault in anabel itself, reported in one line). Output is
 deterministic: every collection is sorted before printing.
 """
 
@@ -366,6 +367,9 @@ def main(argv=None) -> int:
             return 1
         print(f"input error: {exc}", file=sys.stderr)
         return 2
+    except Exception as exc:
+        print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

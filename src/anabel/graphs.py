@@ -399,38 +399,12 @@ def rigidity_kernel(
                     row[index[cover.edge_map[te]]] += 1
                 if any(row):
                     rows.add(tuple(row))
-    basis = _nullspace(sorted(rows), len(edges))
+    from .intlin import nullspace  # graph loading and cover enumeration skip it
+
+    basis = nullspace(sorted(rows), len(edges))
     return [
         {e: vec[i] for e, i in index.items()} for vec in basis
     ], warnings
-
-
-def _nullspace(rows: Sequence[Sequence[int]], n: int) -> List[List[Fraction]]:
-    a = [[Fraction(x) for x in row] for row in rows]
-    pivots: List[int] = []
-    r = 0
-    for c in range(n):
-        piv = next((i for i in range(r, len(a)) if a[i][c] != 0), None)
-        if piv is None:
-            continue
-        a[r], a[piv] = a[piv], a[r]
-        inv = 1 / a[r][c]
-        a[r] = [x * inv for x in a[r]]
-        for i in range(len(a)):
-            if i != r and a[i][c] != 0:
-                f = a[i][c]
-                a[i] = [x - f * y for x, y in zip(a[i], a[r])]
-        pivots.append(c)
-        r += 1
-    free = [c for c in range(n) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * n
-        vec[fc] = Fraction(1)
-        for i, pc in enumerate(pivots):
-            vec[pc] = -a[i][fc]
-        basis.append(vec)
-    return basis
 
 
 # ---------------------------------------------------------------------------

@@ -1,15 +1,17 @@
-"""Exact integer linear algebra: Smith normal form and f.g. abelian groups.
+"""Exact linear algebra: row reduction over Q, Smith normal form over Z.
 
-Everything here works with plain Python integers, so there is no overflow;
-pivot growth in the Smith reduction is harmless at the matrix sizes this
-package deals with (a few hundred entries at most).
+Over Q: row reduction, nullspace, rank and exact linear feasibility
+(Fourier-Motzkin). Over Z: Smith normal form, f.g. abelian groups,
+cokernels and lattice membership. Everything works with plain integers and
+`Fraction`, so there is no overflow; pivot growth is harmless at the matrix
+sizes this package deals with (a few hundred entries at most).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
-from typing import Iterable, Sequence, Tuple
+from typing import Iterable, List, Optional, Sequence, Tuple
 
 
 class IntMatrix:
@@ -177,6 +179,137 @@ class FgAbGroup:
         return f"FgAbGroup({self.free_rank}, {self.torsion})"
 
 
+# ---------------------------------------------------------------------------
+# linear algebra over Q
+# ---------------------------------------------------------------------------
+
+
+def row_reduce(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List[Fraction]], List[int]]:
+    """Reduced row echelon form over Q of a matrix with `ncols` columns.
+
+    Entries may be ints or Fractions. Returns the nonzero rows of the (unique)
+    echelon form as lists of Fractions, and their pivot columns, ascending.
+    """
+    a = [[Fraction(x) for x in row] for row in rows]
+    pivots: List[int] = []
+    for c in range(ncols):
+        r = len(pivots)
+        if r == len(a):
+            break
+        piv = next((i for i in range(r, len(a)) if a[i][c]), None)
+        if piv is None:
+            continue
+        a[r], a[piv] = a[piv], a[r]
+        inv = 1 / a[r][c]
+        prow = a[r] = [x * inv if x else x for x in a[r]]
+        for i, row in enumerate(a):
+            f = row[c]
+            if f and i != r:
+                a[i] = [x - f * y if y else x for x, y in zip(row, prow)]
+        pivots.append(c)
+    return a[: len(pivots)], pivots
+
+
+def nullspace(rows: Sequence[Sequence], ncols: int) -> List[List[Fraction]]:
+    """Basis of {x in Q^ncols : row . x = 0 for every row}: one vector per
+    non-pivot column c, with x_c = 1 and 0 at the other non-pivot columns."""
+    red, pivots = row_reduce(rows, ncols)
+    basis = []
+    for fc in sorted(set(range(ncols)) - set(pivots)):
+        vec = [Fraction(0)] * ncols
+        vec[fc] = Fraction(1)
+        for row, pc in zip(red, pivots):
+            vec[pc] = -row[fc]
+        basis.append(vec)
+    return basis
+
+
+def rank(rows: Sequence[Sequence], ncols: int) -> int:
+    """Rank over Q (equal to the number of nonzero Smith invariants)."""
+    return len(row_reduce(rows, ncols)[1])
+
+
+def _fm_solve(ineqs, nvars):
+    """Feasible point of {x : coeffs . x >= rhs for all (coeffs, rhs)} or None.
+
+    Coefficients may be ints; the point has Fraction entries.
+    """
+    if nvars == 0:
+        for _, rhs in ineqs:
+            if rhs > 0:
+                return None
+        return []
+    last = nvars - 1
+    pos, neg, rest = [], [], []
+    for coeffs, rhs in ineqs:
+        c = coeffs[last]
+        if c > 0:
+            pos.append((coeffs, rhs))
+        elif c < 0:
+            neg.append((coeffs, rhs))
+        else:
+            rest.append((coeffs[:last], rhs))
+    projected = list(rest)
+    for pc, pr in pos:
+        for nc, nr in neg:
+            a, b = pc[last], -nc[last]
+            coeffs = tuple(b * pc[j] + a * nc[j] for j in range(last))
+            projected.append((coeffs, b * pr + a * nr))
+    sol = _fm_solve(projected, last)
+    if sol is None:
+        return None
+
+    def bound(coeffs, rhs):
+        # the sum starts at Fraction(0) so that the bound is never a float
+        return (rhs - sum((c * s for c, s in zip(coeffs, sol)), Fraction(0))) / coeffs[last]
+
+    lo = max((bound(*q) for q in pos), default=None)
+    hi = min((bound(*q) for q in neg), default=None)
+    if lo is not None:
+        x = lo
+    elif hi is not None:
+        x = min(hi, Fraction(0))
+    else:
+        x = Fraction(0)
+    return sol + [x]
+
+
+def solve_eq_ineq(equalities, inequalities, nvars: int) -> Optional[List[Fraction]]:
+    """A point of {x in Q^nvars : A x = a, B x >= b} with Fraction entries, or None.
+
+    equalities and inequalities are (coeffs, rhs) pairs of ints or Fractions.
+    A pivot in the last column of the reduced augmented equalities means they
+    are inconsistent; otherwise each pivot variable, x_p = row[nvars] -
+    sum(row[f] x_f) over the free variables f, is substituted into the
+    inequalities, and Fourier-Motzkin solves for the free variables.
+    """
+    rows, pivots = row_reduce([[*coeffs, rhs] for coeffs, rhs in equalities], nvars + 1)
+    if pivots and pivots[-1] == nvars:
+        return None
+    free = sorted(set(range(nvars)) - set(pivots))
+    reduced = []
+    for coeffs, rhs in inequalities:
+        subs = [(coeffs[p], row) for p, row in zip(pivots, rows) if coeffs[p]]
+        reduced.append((
+            tuple(coeffs[f] - sum(c * row[f] for c, row in subs) for f in free),
+            rhs - sum(c * row[nvars] for c, row in subs),
+        ))
+    sol = _fm_solve(reduced, len(free))
+    if sol is None:
+        return None
+    out = [Fraction(0)] * nvars
+    for f, value in zip(free, sol):
+        out[f] = value
+    for p, row in zip(pivots, rows):
+        out[p] = row[nvars] - sum(row[f] * out[f] for f in free)
+    return out
+
+
+# ---------------------------------------------------------------------------
+# Smith normal form over Z
+# ---------------------------------------------------------------------------
+
+
 def _pivot_position(a, start, n, m):
     """Smallest nonzero absolute value, ties broken by row-major position."""
     best = None
@@ -310,19 +443,20 @@ def smith_diagonal(M: IntMatrix) -> Tuple[int, ...]:
     return tuple(S[i, i] for i in range(k))
 
 
+def _smith_rank(diag: Sequence[int]) -> int:
+    return len(diag) - diag.count(0)
+
+
 def cokernel_group(M: IntMatrix) -> FgAbGroup:
     """Z^cols modulo the subgroup generated by the rows of M."""
     diag = smith_diagonal(M)
-    rank = sum(1 for d in diag if d != 0)
     torsion = tuple(d for d in diag if d >= 2)
-    return FgAbGroup(M.cols - rank, torsion)
+    return FgAbGroup(M.cols - _smith_rank(diag), torsion)
 
 
 def kernel_rank(M: IntMatrix) -> int:
     """Rank of the kernel of M acting on column vectors."""
-    diag = smith_diagonal(M)
-    rank = sum(1 for d in diag if d != 0)
-    return M.cols - rank
+    return M.cols - _smith_rank(smith_diagonal(M))
 
 
 def solution_group_mod(M: IntMatrix, n: int) -> FgAbGroup:
@@ -330,20 +464,16 @@ def solution_group_mod(M: IntMatrix, n: int) -> FgAbGroup:
     if n < 2:
         raise ValueError("modulus must be >= 2")
     diag = smith_diagonal(M)
-    rank = sum(1 for d in diag if d != 0)
     factors = sorted(
         [gcd(d, n) for d in diag if d != 0 and gcd(d, n) >= 2]
-        + [n] * (M.cols - rank)
+        + [n] * (M.cols - _smith_rank(diag))
     )
-    # gcd factors with n appended always satisfy the chain after sorting only
-    # when each divides the next; they do here because every factor divides n
-    chain = []
-    for d in factors:
-        chain.append(d)
-    for a, b in zip(chain, chain[1:]):
+    # every factor divides n, and d_i | d_j gives gcd(d_i, n) | gcd(d_j, n),
+    # so the sorted factors form a divisibility chain
+    for a, b in zip(factors, factors[1:]):
         if b % a:
             raise AssertionError("mod-n solution factors broke divisibility")
-    return FgAbGroup(0, tuple(chain))
+    return FgAbGroup(0, tuple(factors))
 
 
 def lattice_member(vecs: Sequence[Sequence[int]], target: Sequence[int]) -> bool:

@@ -13,144 +13,27 @@ from dataclasses import dataclass
 from fractions import Fraction
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
-from .intlin import FgAbGroup, IntMatrix, lattice_member, smith_normal_form
+from .intlin import (
+    FgAbGroup, IntMatrix, lattice_member, rank, smith_normal_form, solve_eq_ineq,
+)
 
 Vec = Tuple[int, ...]
 
-# ---------------------------------------------------------------------------
-# exact linear feasibility (Fourier-Motzkin with witness extraction)
-# ---------------------------------------------------------------------------
-
-
-def _fm_solve(ineqs, nvars):
-    """Feasible point of {x : coeffs . x >= rhs for all (coeffs, rhs)} or None."""
-    if nvars == 0:
-        for _, rhs in ineqs:
-            if rhs > 0:
-                return None
-        return []
-    last = nvars - 1
-    pos, neg, rest = [], [], []
-    for coeffs, rhs in ineqs:
-        c = coeffs[last]
-        if c > 0:
-            pos.append((coeffs, rhs))
-        elif c < 0:
-            neg.append((coeffs, rhs))
-        else:
-            rest.append((coeffs[:last], rhs))
-    projected = list(rest)
-    for pc, pr in pos:
-        for nc, nr in neg:
-            a, b = pc[last], -nc[last]
-            coeffs = tuple(b * pc[j] + a * nc[j] for j in range(last))
-            projected.append((coeffs, b * pr + a * nr))
-    sol = _fm_solve(projected, last)
-    if sol is None:
-        return None
-    lo, hi = None, None
-    for coeffs, rhs in pos:
-        bound = (rhs - sum(c * s for c, s in zip(coeffs[:last], sol))) / coeffs[last]
-        lo = bound if lo is None or bound > lo else lo
-    for coeffs, rhs in neg:
-        bound = (rhs - sum(c * s for c, s in zip(coeffs[:last], sol))) / coeffs[last]
-        hi = bound if hi is None or bound < hi else hi
-    if lo is not None:
-        x = lo
-    elif hi is not None:
-        x = min(hi, Fraction(0))
-    else:
-        x = Fraction(0)
-    return sol + [x]
-
-
-def _solve_eq_ineq(equalities, inequalities, nvars):
-    """Feasible point of {A x = a, B x >= b} over Q, or None.
-
-    equalities/inequalities are (coeffs, rhs) pairs with Fraction entries.
-    """
-    eqs = [([Fraction(c) for c in coeffs], Fraction(rhs)) for coeffs, rhs in equalities]
-    ins = [([Fraction(c) for c in coeffs], Fraction(rhs)) for coeffs, rhs in inequalities]
-    subs: Dict[int, Tuple[List[Fraction], Fraction]] = {}
-    free = list(range(nvars))
-    # Gaussian elimination on the equalities
-    for coeffs, rhs in eqs:
-        coeffs = coeffs[:]
-        for v, (expr, cst) in subs.items():
-            c = coeffs[v]
-            if c:
-                coeffs[v] = Fraction(0)
-                for j in range(nvars):
-                    coeffs[j] += c * expr[j]
-                rhs -= c * cst
-        piv = next((j for j in free if coeffs[j] != 0), None)
-        if piv is None:
-            if rhs != 0:
-                return None
-            continue
-        c = coeffs[piv]
-        expr = [-coeffs[j] / c if j != piv else Fraction(0) for j in range(nvars)]
-        cst = rhs / c
-        for v, (e2, c2) in list(subs.items()):
-            k = e2[piv]
-            if k:
-                e2[piv] = Fraction(0)
-                for j in range(nvars):
-                    e2[j] += k * expr[j]
-                subs[v] = (e2, c2 + k * cst)
-        subs[piv] = (expr, cst)
-        free.remove(piv)
-    # rewrite the inequalities over the free variables
-    findex = {v: i for i, v in enumerate(free)}
-    reduced = []
-    for coeffs, rhs in ins:
-        coeffs = coeffs[:]
-        for v, (expr, cst) in subs.items():
-            c = coeffs[v]
-            if c:
-                coeffs[v] = Fraction(0)
-                for j in range(nvars):
-                    coeffs[j] += c * expr[j]
-                rhs -= c * cst
-        reduced.append((tuple(coeffs[v] for v in free), rhs))
-    sol = _fm_solve(reduced, len(free))
-    if sol is None:
-        return None
-    out = [Fraction(0)] * nvars
-    for v in free:
-        out[v] = sol[findex[v]]
-    changed = True
-    while changed:
-        changed = False
-        for v, (expr, cst) in subs.items():
-            val = cst + sum(expr[j] * out[j] for j in range(nvars))
-            if out[v] != val:
-                out[v] = val
-                changed = True
-    return out
-
-
 def cone_member(v: Sequence[int], gens: Sequence[Vec]) -> bool:
     """Is v in the rational cone spanned by gens?"""
-    d = len(v)
     k = len(gens)
     if k == 0:
         return all(x == 0 for x in v)
-    eqs = [([Fraction(g[j]) for g in gens], Fraction(v[j])) for j in range(d)]
-    ins = [(tuple(Fraction(1) if i == t else Fraction(0) for i in range(k)), Fraction(0))
-           for t in range(k)]
-    return _solve_eq_ineq(eqs, ins, k) is not None
+    eqs = [([g[j] for g in gens], v[j]) for j in range(len(v))]
+    ins = [(tuple(int(i == t) for i in range(k)), 0) for t in range(k)]
+    return solve_eq_ineq(eqs, ins, k) is not None
 
 
 def _positive_functional(gens: Sequence[Vec], unit_idx: Set[int], dim: int):
     """phi in Q^dim with phi.g = 0 on unit generators and phi.g >= 1 elsewhere."""
-    eqs = [([Fraction(c) for c in gens[i]], Fraction(0)) for i in sorted(unit_idx)]
-    ins = [
-        (tuple(Fraction(c) for c in gens[i]), Fraction(1))
-        for i in range(len(gens))
-        if i not in unit_idx
-    ]
-    return _solve_eq_ineq(eqs, ins, dim)
+    eqs = [(gens[i], 0) for i in sorted(unit_idx)]
+    ins = [(g, 1) for i, g in enumerate(gens) if i not in unit_idx]
+    return solve_eq_ineq(eqs, ins, dim)
 
 
 # ---------------------------------------------------------------------------
@@ -285,13 +168,7 @@ class AffineMonoid:
             if len(T) == k:
                 out.append(Face(self, frozenset(T)))
                 continue
-            eqs = [([Fraction(c) for c in self.gens[i]], Fraction(0)) for i in sorted(T)]
-            ins = [
-                (tuple(Fraction(c) for c in self.gens[i]), Fraction(1))
-                for i in range(k)
-                if i not in T
-            ]
-            if _solve_eq_ineq(eqs, ins, self.dim) is not None:
+            if _positive_functional(self.gens, T, self.dim) is not None:
                 out.append(Face(self, frozenset(T)))
         out.sort(key=lambda f: (len(f.indices), tuple(sorted(f.indices))))
         return out
@@ -344,17 +221,13 @@ class AffineMonoid:
         ugens = [self.gens[i] for i in units]
         if not ugens:
             return FgAbGroup(0), AffineMonoid(self.dim, self.gens)
-        U = IntMatrix.from_rows(ugens)
-        _, S, V = smith_normal_form(U)
-        r = sum(1 for i in range(min(S.rows, S.cols)) if S[i, i] != 0)
-        # columns of V beyond position r give coordinates of Z^d/(unit lattice):
-        # in the basis V^-1 the unit lattice is spanned by multiples of the
-        # first r coordinates, so projecting to the last d-r works
-        Vinv = _int_inverse(V)
-        proj_rows = [Vinv.row(i) for i in range(r, self.dim)]
-
+        _, _, V = smith_normal_form(IntMatrix.from_rows(ugens))
+        r = rank(ugens, self.dim)
+        # U ugens V = S, so the unit lattice is spanned by the rows of S V^-1:
+        # in the basis given by the rows of V^-1 it lies in the first r
+        # coordinates, and the coordinates of x in that basis are x V
         def project(x: Vec) -> Vec:
-            return tuple(sum(row[j] * x[j] for j in range(self.dim)) for row in proj_rows)
+            return tuple(sum(x[k] * V[k, j] for k in range(self.dim)) for j in range(r, self.dim))
 
         sharp = AffineMonoid(self.dim - r, [project(g) for g in self.gens])
         if sharp.unit_generator_indices() != {
@@ -364,34 +237,7 @@ class AffineMonoid:
         return FgAbGroup(r), sharp
 
     def gp_rank(self) -> int:
-        if not self.gens:
-            return 0
-        M = IntMatrix.from_rows(self.gens)
-        _, S, _ = smith_normal_form(M)
-        return sum(1 for i in range(min(S.rows, S.cols)) if S[i, i] != 0)
-
-
-def _int_inverse(M: IntMatrix) -> IntMatrix:
-    """Inverse of a unimodular integer matrix."""
-    n = M.rows
-    det = M.determinant()
-    if abs(det) != 1:
-        raise ValueError("matrix is not unimodular")
-    a = [[Fraction(M[i, j]) for j in range(n)] + [Fraction(1 if k == i else 0) for k in range(n)]
-         for i in range(n)]
-    for col in range(n):
-        piv = next(r for r in range(col, n) if a[r][col] != 0)
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
-        for r in range(n):
-            if r != col and a[r][col]:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    out = [[a[i][n + j] for j in range(n)] for i in range(n)]
-    if any(x.denominator != 1 for row in out for x in row):
-        raise AssertionError("inverse of unimodular matrix must be integral")
-    return IntMatrix.from_rows([[int(x) for x in row] for row in out])
+        return rank(self.gens, self.dim)
 
 
 @dataclass(frozen=True)
@@ -455,11 +301,8 @@ class MonoidMorphism:
 
     def injective_on_gp(self) -> bool:
         gens = self.source.gens
-        if not gens:
-            return True
-        src = IntMatrix.from_rows(gens)
-        img = IntMatrix.from_rows([self.apply(g) for g in gens])
-        return _rank(src) == _rank(img)
+        image = [self.apply(g) for g in gens]
+        return rank(gens, self.source.dim) == rank(image, self.target.dim)
 
     def restrict_to_face(self, face: Face) -> "MonoidMorphism":
         """The induced morphism phi^-1(F') -> F' for a face F' of the target."""
@@ -469,11 +312,6 @@ class MonoidMorphism:
         pre_gens = [g for g in self.source.gens if F.contains(self.apply(g))]
         src = AffineMonoid(self.source.dim, pre_gens)
         return MonoidMorphism(src, F, self.matrix)
-
-
-def _rank(M: IntMatrix) -> int:
-    _, S, _ = smith_normal_form(M)
-    return sum(1 for i in range(min(S.rows, S.cols)) if S[i, i] != 0)
 
 
 def _l_integers(primes: Sequence[int], bound: int) -> List[int]:

@@ -160,3 +160,18 @@ def test_malformed_document_exit_code(tmp_path, command, doc, old, new):
     assert proc.stderr.startswith("input error: ")
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+def test_internal_fault_exit_code(monkeypatch, capsys):
+    from anabel import cli
+    from anabel.monoids import AffineMonoid
+
+    def broken(self):
+        raise AssertionError("planted fault")
+
+    monkeypatch.setattr(AffineMonoid, "faces", broken)
+    rc = cli.main(["faces", "--input", str(DATA / "n2.monoid")])
+    err = capsys.readouterr().err
+    assert rc == 3
+    assert err == "internal error: AssertionError: planted fault\n"
+    assert "Traceback" not in err

@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -8,9 +9,13 @@ from anabel.intlin import (
     cokernel_group,
     kernel_rank,
     lattice_member,
+    nullspace,
+    rank,
+    row_reduce,
     smith_diagonal,
     smith_normal_form,
     solution_group_mod,
+    solve_eq_ineq,
 )
 
 
@@ -190,3 +195,85 @@ def test_lattice_member():
     assert not lattice_member([], [1, 0])
     assert lattice_member([[1, 1]], [3, 3])
     assert not lattice_member([[1, 1]], [1, 0])
+
+
+def test_row_reduce():
+    rows, pivots = row_reduce([[0, 2, 4], [1, 1, 1], [1, 2, 3]], 3)
+    assert pivots == [0, 1]
+    assert rows == [[1, 0, -1], [0, 1, 2]]
+    assert all(isinstance(x, Fraction) for row in rows for x in row)
+    assert row_reduce([], 3) == ([], [])
+    assert row_reduce([[0, 0], [0, 0]], 2) == ([], [])
+    # pivots are searched only in the first ncols columns
+    assert row_reduce([[0, 1]], 1) == ([], [])
+
+
+def test_nullspace_and_rank():
+    assert nullspace([[1, 1, 1]], 3) == [[-1, 1, 0], [-1, 0, 1]]
+    assert nullspace([], 2) == [[1, 0], [0, 1]]
+    assert nullspace([[1, 0], [0, 3]], 2) == []
+    assert rank([[1, 2], [2, 4]], 2) == 1
+    assert rank([], 4) == 0
+
+
+def test_solve_eq_ineq():
+    # x + y = 1, x >= 1/2, y >= 1/3: x is the pivot, and the free y takes
+    # its lower bound
+    x = solve_eq_ineq([((1, 1), 1)], [((1, 0), Fraction(1, 2)), ((0, 1), Fraction(1, 3))], 2)
+    assert x == [Fraction(2, 3), Fraction(1, 3)]
+    assert all(isinstance(c, Fraction) for c in x)
+    # inconsistent equalities, and consistent ones with infeasible inequalities
+    assert solve_eq_ineq([((1, 1), 1), ((2, 2), 3)], [], 2) is None
+    assert solve_eq_ineq([((1, -1), 0)], [((1, 0), 1), ((0, -1), 0)], 2) is None
+    # no equalities, integer inequalities: the point is still exact
+    assert solve_eq_ineq([], [((2,), 1)], 1) == [Fraction(1, 2)]
+    assert solve_eq_ineq([], [], 0) == []
+
+
+def _random_matrix(rng, max_size=6, bound=5):
+    """Integer matrix up to max_size x max_size with some zero rows/columns."""
+    n, m = rng.randint(0, max_size), rng.randint(0, max_size)
+    rows = [[rng.randint(-bound, bound) for _ in range(m)] for _ in range(n)]
+    for r in rows:
+        if rng.random() < 0.2:
+            r[:] = [0] * m
+    for j in range(m):
+        if rng.random() < 0.2:
+            for r in rows:
+                r[j] = 0
+    return n, m, rows
+
+
+def _fraction(q):
+    return Fraction(int(q.p), int(q.q))
+
+
+def test_row_reduction_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(11)
+    cases = [(0, 0, []), (0, 3, []), (3, 0, [[], [], []])]
+    cases += [_random_matrix(rng) for _ in range(300)]
+    for n, m, rows in cases:
+        S = sympy.Matrix(n, m, [x for r in rows for x in r])
+        ref, ref_pivots = S.rref()
+        red, pivots = row_reduce(rows, m)
+        assert pivots == list(ref_pivots), rows
+        assert red == [[_fraction(ref[i, j]) for j in range(m)] for i in range(len(pivots))]
+        assert rank(rows, m) == S.rank()
+        assert nullspace(rows, m) == [
+            [_fraction(v[j]) for j in range(m)] for v in S.nullspace()
+        ]
+
+
+def test_smith_diagonal_matches_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    rng = random.Random(12)
+    for _ in range(200):
+        n, m, rows = _random_matrix(rng, bound=9)
+        if not (n and m):
+            continue
+        ref = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+        expected = [abs(int(ref[i, i])) for i in range(min(n, m))]
+        assert list(smith_diagonal(IntMatrix.from_rows(rows))) == expected, rows

@@ -1,7 +1,10 @@
 import itertools
+import pathlib
+from fractions import Fraction
 
 import pytest
 
+from anabel import documents
 from anabel.intlin import FgAbGroup
 from anabel.monoids import (
     AffineMonoid,
@@ -140,6 +143,60 @@ def test_sharp_quotient():
     assert s2 == N2
     units_rank = units.free_rank
     assert units_rank + sharp.gp_rank() == P.gp_rank()
+
+
+@pytest.mark.parametrize("gens", [
+    [(1, 1), (-1, -1), (1, 0)],
+    [(2, 1, 0), (-2, -1, 0), (0, 0, 1), (1, 1, 1)],
+])
+def test_sharp_quotient_unit_line_off_the_axes(gens):
+    # the unit line is not a coordinate axis, so the Smith transform V of
+    # the unit generators is not a permutation
+    P = AffineMonoid(len(gens[0]), gens)
+    units, sharp = P.sharp_quotient()
+    assert units == FgAbGroup(1)
+    assert sharp.unit_generator_indices() == {
+        i for i, g in enumerate(sharp.gens) if not any(g)
+    }
+    assert units.free_rank + sharp.gp_rank() == P.gp_rank()
+
+
+def cone_gens(d, k):
+    """e1, e1 + k e_i (i >= 2) and the all-ones vector; k = 0 gives N^d."""
+    e = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    if k == 0:
+        return e
+    return [e[0]] + [tuple(a + k * b for a, b in zip(e[0], e[i])) for i in range(1, d)] + [
+        tuple([1] * d)]
+
+
+# The grading fixes the order in which `contains` searches generators, so a
+# change to the feasibility solver must not move it.
+@pytest.mark.parametrize("gens,phi", [
+    (cone_gens(2, 0), "1 1"),
+    (cone_gens(3, 0), "1 1 1"),
+    (cone_gens(4, 0), "1 1 1 1"),
+    (cone_gens(2, 3), "1 0"),
+    (cone_gens(2, 4), "1 0"),
+    (cone_gens(3, 2), "1 0 0"),
+    (cone_gens(3, 3), "1 0 0"),
+    (cone_gens(4, 3), "1 0 0 0"),
+    ("n2.monoid", "1 1"),
+    ([(2, 0), (0, 1), (1, 1)], "1/2 1"),
+    ([(1, 1), (1, -1)], "1 0"),
+    ([(1, 1), (-1, -1), (1, 0)], "1 -1"),
+    ([(2, 1, 0), (-2, -1, 0), (0, 0, 1), (1, 1, 1)], "0 0 1"),
+    ([(3, 1), (1, 3), (2, 2)], "0 1"),
+    ([(1, 2, 3), (3, 1, 2), (2, 3, 1), (-1, 0, 0), (1, 0, 0)], "0 0 1"),
+    ([(2, -1, 0), (0, 2, -1), (-1, 0, 2), (1, 1, 1)], "1 1 1"),
+])
+def test_grading_witness_is_pinned(gens, phi):
+    if isinstance(gens, str):
+        path = pathlib.Path(__file__).parent / "data" / gens
+        _, P = documents.load(path.read_text())
+    else:
+        P = AffineMonoid(len(gens[0]), gens)
+    assert P._grading() == [Fraction(c) for c in phi.split()]
 
 
 def test_sharp_quotient_requires_saturated():
