@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graphs import BranchGraph, GeneralizedMorphism
-from .poly import Element, PolysimplicialSet
+from .poly import Element, PolysimplicialSet, transitive_closure
 from .poly_ops import CellFunctor, IsoReport, PolyMorphism, is_cospec_iso  # noqa: F401
 
 
@@ -24,15 +24,8 @@ class Poset:
             if a not in els or b not in els:
                 raise ValueError(f"relation ({a}, {b}) references unknown element")
             rel.add((str(a), str(b)))
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(rel):
-                for (c, d) in list(rel):
-                    if b == c and (a, d) not in rel:
-                        rel.add((a, d))
-                        changed = True
-        for (a, b) in rel:
+        rel = transitive_closure(rel)
+        for (a, b) in sorted(rel):
             if a != b and (b, a) in rel:
                 raise ValueError(f"antisymmetry fails between {a} and {b}")
         self.le: Set[Tuple[str, str]] = rel
@@ -179,68 +172,32 @@ def cospec_polysimplicial(
     morphism is unique, and this is asserted. A strata map admitting no
     morphism (the compatibility square fails) raises ValueError.
     """
-    from .poly import epis_onto, injections_into
+    from .poly import epis_onto
+    from .poly_ops import _natural_maps
 
     for c in C1.cells:
         if c not in class_map or class_map[c] not in C2.cells:
             raise ValueError(f"cell {c} has no valid image class")
-    order = sorted(
-        C1.cells, key=lambda c: (-_dim_of(C1.cells[c]), c)
-    )
-    solutions: List[Dict[str, Element]] = []
 
-    def consistent(cmap: Dict[str, Element]) -> bool:
-        for c in cmap:
-            n = C1.cells[c]
-            for iota in injections_into(n):
-                if iota.is_iso():
-                    continue
-                face = C1.faces[(c, iota)]
-                if face.cell in cmap:
-                    want = C2.act(cmap[c], iota)
-                    got = C2.act(cmap[face.cell], face.epi)
-                    if want != got:
-                        return False
-        return True
+    def candidates(c, cmap):
+        y = class_map[c]
+        return dict.fromkeys(
+            C2.canonical(Element(y, epi))
+            for epi in epis_onto(C1.cells[c], C2.cells[y])
+        )
 
-    def backtrack(i: int, cmap: Dict[str, Element]):
-        if solutions and len(solutions) > 1:
-            return
-        if i == len(order):
-            try:
-                PolyMorphism(C1, C2, dict(cmap)).validate()
-            except (ValueError, KeyError):
-                return
-            if not any(
-                all(C2.elements_equal(s[c], cmap[c]) for c in cmap)
-                for s in solutions
-            ):
-                solutions.append(dict(cmap))
-            return
-        c = order[i]
-        tgt = class_map[c]
-        for epi in epis_onto(C1.cells[c], C2.cells[tgt]):
-            cmap[c] = C2.canonical(Element(tgt, epi))
-            if consistent(cmap):
-                backtrack(i + 1, cmap)
-            del cmap[c]
-
-    backtrack(0, {})
-    if not solutions:
+    morphisms = _natural_maps(C1, C2, candidates)
+    morphism = next(morphisms, None)
+    if morphism is None:
         raise ValueError(
             "no morphism realizes the strata map; the compatibility square fails"
         )
-    if C2.is_interiorly_free() and len(solutions) > 1:
+    if C2.is_interiorly_free() and next(morphisms, None) is not None:
         raise AssertionError("interiorly free target admitted two realizations")
-    morphism = PolyMorphism(C1, C2, solutions[0]).validate()
     smap = morphism.strata_map()
     if smap != {c: class_map[c] for c in C1.cells}:
         raise ValueError("constructed morphism induces a different strata map")
     return morphism
-
-
-def _dim_of(n) -> int:
-    return 0 if n == (0,) else sum(n)
 
 
 def curve_cospec(

@@ -325,7 +325,6 @@ def load_polysimplicial(node: Node) -> PolysimplicialSet:
         stabs.setdefault(key[1], set()).add(_parse_morphism(val))
     for c in cells:
         stabs.setdefault(c, set()).add(identity(cells[c]))
-        stabs[c].add(identity(cells[c]))
     faces = {}
     for key, block in node.children("face"):
         if len(key) != 2:

@@ -23,7 +23,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
 
 PolyIndex = Tuple[int, ...]
 Point = Tuple[int, ...]
@@ -615,15 +615,20 @@ class PolysimplicialSet:
                 got = self.act(base, iota)
                 if got.is_nondegenerate():
                     le.add((got.cell, y))
-        changed = True
-        while changed:
-            changed = False
-            for (a, b) in list(le):
-                for (c, d) in list(le):
-                    if b == c and (a, d) not in le:
-                        le.add((a, d))
-                        changed = True
-        return le
+        return transitive_closure(le)
+
+
+def transitive_closure(pairs: Iterable[Tuple[str, str]]) -> Set[Tuple[str, str]]:
+    """The transitive closure of a finite relation given by its pairs."""
+    succ: Dict[str, Set[str]] = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+        succ.setdefault(b, set())
+    for k in succ:  # Warshall: allow paths through k
+        for a in succ:
+            if k in succ[a]:
+                succ[a] |= succ[k]
+    return {(a, b) for a in succ for b in succ[a]}
 
 
 def _mapping_of(g: LambdaMorphism):

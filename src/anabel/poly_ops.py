@@ -6,7 +6,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
 
 from .presentations import GroupPresentation
 from .poly import (
@@ -411,118 +411,99 @@ def is_cospec_iso(m: PolyMorphism) -> IsoReport:
         return IsoReport(False, "strata map is not a poset isomorphism", None)
     if not m.target.is_interiorly_free():
         return IsoReport(False, "target is not interiorly free", None)
-    inverse_cells = {}
-    back = {v: k for k, v in smap.items()}
-    for y in m.target.cells:
-        x = back[y]
-        img = m.cell_map[x]  # (y, theta) with theta invertible
-        theta = img.epi
-        inverse_cells[y] = Element(x, theta.inverse())
-    inv = PolyMorphism.from_cells(m.target, m.source, inverse_cells)
-    there = compose_poly(m, inv)
-    ident_t = PolyMorphism.identity_of(m.target)
-    back_ = compose_poly(inv, m)
-    ident_s = PolyMorphism.identity_of(m.source)
-    for c in m.target.cells:
-        if m.target.canonical(there.cell_map[c]) != m.target.canonical(
-            ident_t.cell_map[c]
-        ):
-            return IsoReport(False, "constructed inverse fails on the right", None)
-    for c in m.source.cells:
-        if m.source.canonical(back_.cell_map[c]) != m.source.canonical(
-            ident_s.cell_map[c]
-        ):
-            return IsoReport(False, "constructed inverse fails on the left", None)
+    inv = _two_sided_inverse(m)
+    if inv is None:
+        return IsoReport(False, "constructed inverse is not a two-sided inverse", None)
     return IsoReport(True, "nondegenerate + strata bijective + interiorly free", inv)
+
+
+def _two_sided_inverse(m: PolyMorphism) -> Optional[PolyMorphism]:
+    """The inverse of m read off its strata map, or None when m is not an
+    isomorphism."""
+    smap = m.strata_map()
+    if sorted(smap.values()) != sorted(m.target.cells):
+        return None
+    if not m.sends_nondegenerate_to_nondegenerate():
+        return None
+    back = {y: x for x, y in smap.items()}
+    try:
+        inv = PolyMorphism.from_cells(m.target, m.source, {
+            y: Element(back[y], m.cell_map[back[y]].epi.inverse())
+            for y in m.target.cells
+        })
+    except ValueError:
+        return None
+    for comp in (compose_poly(m, inv), compose_poly(inv, m)):
+        C = comp.target
+        if any(C.canonical(comp.cell_map[c]) != C.canonical(C.cell_element(c))
+               for c in C.cells):
+            return None
+    return inv
+
+
+def _natural_maps(
+    A: PolysimplicialSet,
+    B: PolysimplicialSet,
+    candidates: Callable[[str, Dict[str, Element]], Iterable[Element]],
+) -> Iterator[PolyMorphism]:
+    """Backtracking search: every morphism A -> B whose image of each cell c
+    is one of candidates(c, images so far), in search order.
+
+    Cells are tried by descending dimension, then name. Each face entry
+    x(b, iota) = (d, e) of A is checked, as soon as both b and d have
+    images f(b) and f(d), by f(b)|iota == f(d)|e: the naturality square
+    that PolyMorphism.validate checks at b along iota. A pruned candidate
+    therefore fails validate, so the maps yielded, and the first of them,
+    are the ones an unpruned search would yield. Each complete map is
+    still validated.
+    """
+    order = sorted(A.cells, key=lambda c: (-index_dim(A.cells[c]), c))
+    pos = {c: i for i, c in enumerate(order)}
+    checks: Dict[str, List[Tuple[str, LambdaMorphism, Element]]] = {c: [] for c in order}
+    for b, n in A.cells.items():
+        for iota in injections_into(n):
+            if not iota.is_iso():
+                face = A.faces[(b, iota)]
+                checks[max(b, face.cell, key=pos.__getitem__)].append((b, iota, face))
+    cmap: Dict[str, Element] = {}
+
+    def extend(i: int) -> Iterator[PolyMorphism]:
+        if i == len(order):
+            try:
+                m = PolyMorphism.from_cells(A, B, cmap)
+            except (ValueError, KeyError):
+                return
+            yield m
+            return
+        c = order[i]
+        for img in candidates(c, cmap):
+            cmap[c] = img
+            if all(B.act(cmap[b], iota) == B.act(cmap[face.cell], face.epi)
+                   for b, iota, face in checks[c]):
+                yield from extend(i + 1)
+        cmap.pop(c, None)
+
+    return extend(0)
 
 
 def find_isomorphism(A: PolysimplicialSet, B: PolysimplicialSet) -> Optional[PolyMorphism]:
     """Backtracking search for an isomorphism of complexes, or None."""
     if sorted(A.cells.values()) != sorted(B.cells.values()):
         return None
-    a_cells = sorted(A.cells, key=lambda c: (-index_dim(A.cells[c]), c))
-    b_by_index: Dict[PolyIndex, List[str]] = {}
-    for c, n in B.cells.items():
-        b_by_index.setdefault(n, []).append(c)
-    for lst in b_by_index.values():
-        lst.sort()
 
-    def candidates(c):
+    def candidates(c, cmap):
         n = A.cells[c]
-        for y in b_by_index[n]:
-            for theta in automorphisms(n):
-                yield Element(y, theta)
+        used = {e.cell for e in cmap.values()}
+        return dict.fromkeys(
+            B.canonical(Element(y, theta))
+            for y in sorted(B.cells) if B.cells[y] == n and y not in used
+            for theta in automorphisms(n)
+        )
 
-    def backtrack(i, cmap, used):
-        if i == len(a_cells):
-            try:
-                m = PolyMorphism.from_cells(A, B, cmap)
-            except (ValueError, KeyError):
-                return None
-            rep = is_cospec_iso(m)
-            if rep.is_iso:
-                return m
-            # criterion may refuse for non-interiorly-free targets; try the
-            # direct two-sided check instead
-            return _direct_iso_check(m)
-        c = a_cells[i]
-        n = A.cells[c]
-        for img in candidates(c):
-            if img.cell in used:
-                continue
-            cmap[c] = B.canonical(img)
-            ok = True
-            for iota in injections_into(n):
-                if iota.is_iso():
-                    continue
-                src_face = A.faces[(c, iota)]
-                if src_face.cell in cmap or src_face.cell == c:
-                    want = B.act(cmap[c], iota)
-                    have_cell = cmap.get(src_face.cell)
-                    if have_cell is None and src_face.cell == c:
-                        have_cell = cmap[c]
-                    got = B.act(
-                        have_cell, src_face.epi
-                    ) if have_cell is not None else None
-                    if got is not None and got != want:
-                        ok = False
-                        break
-            if ok:
-                out = backtrack(i + 1, cmap, used | {img.cell})
-                if out is not None:
-                    return out
-            del cmap[c]
-        return None
-
-    return backtrack(0, {}, set())
-
-
-def _direct_iso_check(m: PolyMorphism) -> Optional[PolyMorphism]:
-    smap = m.strata_map()
-    if sorted(smap.values()) != sorted(m.target.cells):
-        return None
-    if not m.sends_nondegenerate_to_nondegenerate():
-        return None
-    inverse_cells = {}
-    for x, y in smap.items():
-        inverse_cells[y] = Element(x, m.cell_map[x].epi.inverse())
-    try:
-        inv = PolyMorphism.from_cells(m.target, m.source, inverse_cells)
-    except ValueError:
-        return None
-    for c in m.target.cells:
-        got = compose_poly(m, inv).cell_map[c]
-        if m.target.canonical(got) != m.target.canonical(
-            m.target.cell_element(c)
-        ):
-            return None
-    for c in m.source.cells:
-        got = compose_poly(inv, m).cell_map[c]
-        if m.source.canonical(got) != m.source.canonical(
-            m.source.cell_element(c)
-        ):
-            return None
-    return m
+    for m in _natural_maps(A, B, candidates):
+        if _two_sided_inverse(m) is not None:
+            return m
+    return None
 
 
 # ---------------------------------------------------------------------------

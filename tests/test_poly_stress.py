@@ -1,10 +1,14 @@
 """Stress tests for the normal-form machinery: larger stabilizers,
 randomized quotients and a seeded corpus of constructor outputs, all
-deep-validated; and a differential test of `validate`, which checks
-functoriality along generators, against the all-pairs check."""
+deep-validated; a differential test of `validate`, which checks
+functoriality along generators, against the all-pairs check; and one of
+`find_isomorphism`, which prunes by face checks, against the search that
+did not."""
 
 import os
 import random
+
+import pytest
 
 from anabel.poly import (
     Element,
@@ -18,7 +22,15 @@ from anabel.poly import (
     injections_into,
     representable,
 )
-from anabel.poly_ops import PolyMorphism, coequalizer, quotient
+from anabel.cospec import cospec_polysimplicial
+from anabel.poly_ops import (
+    PolyMorphism,
+    coequalizer,
+    compose_poly,
+    find_isomorphism,
+    is_cospec_iso,
+    quotient,
+)
 
 SEED = int(os.environ.get("ANABEL_SEED", "0"))
 
@@ -248,3 +260,173 @@ def test_generator_validation_matches_all_pairs_reference():
                 disagreements.append((i, what, verdicts))
     assert not disagreements
     assert rejected >= len(pool)
+
+
+def _reference_find_isomorphism(A, B):
+    """Reference search: it compares a new image only with faces of the
+    cell that are already mapped, so it prunes almost nothing."""
+    if sorted(A.cells.values()) != sorted(B.cells.values()):
+        return None
+    a_cells = sorted(A.cells, key=lambda c: (-index_dim(A.cells[c]), c))
+    b_by_index = {}
+    for c, n in B.cells.items():
+        b_by_index.setdefault(n, []).append(c)
+    for lst in b_by_index.values():
+        lst.sort()
+
+    def candidates(c):
+        n = A.cells[c]
+        for y in b_by_index[n]:
+            for theta in automorphisms(n):
+                yield Element(y, theta)
+
+    def backtrack(i, cmap, used):
+        if i == len(a_cells):
+            try:
+                m = PolyMorphism.from_cells(A, B, cmap)
+            except (ValueError, KeyError):
+                return None
+            rep = is_cospec_iso(m)
+            if rep.is_iso:
+                return m
+            # criterion may refuse for non-interiorly-free targets; try the
+            # direct two-sided check instead
+            return _reference_direct_iso_check(m)
+        c = a_cells[i]
+        n = A.cells[c]
+        for img in candidates(c):
+            if img.cell in used:
+                continue
+            cmap[c] = B.canonical(img)
+            ok = True
+            for iota in injections_into(n):
+                if iota.is_iso():
+                    continue
+                src_face = A.faces[(c, iota)]
+                if src_face.cell in cmap or src_face.cell == c:
+                    want = B.act(cmap[c], iota)
+                    have_cell = cmap.get(src_face.cell)
+                    if have_cell is None and src_face.cell == c:
+                        have_cell = cmap[c]
+                    got = B.act(
+                        have_cell, src_face.epi
+                    ) if have_cell is not None else None
+                    if got is not None and got != want:
+                        ok = False
+                        break
+            if ok:
+                out = backtrack(i + 1, cmap, used | {img.cell})
+                if out is not None:
+                    return out
+            del cmap[c]
+        return None
+
+    return backtrack(0, {}, set())
+
+
+def _reference_direct_iso_check(m):
+    smap = m.strata_map()
+    if sorted(smap.values()) != sorted(m.target.cells):
+        return None
+    if not m.sends_nondegenerate_to_nondegenerate():
+        return None
+    inverse_cells = {}
+    for x, y in smap.items():
+        inverse_cells[y] = Element(x, m.cell_map[x].epi.inverse())
+    try:
+        inv = PolyMorphism.from_cells(m.target, m.source, inverse_cells)
+    except ValueError:
+        return None
+    for c in m.target.cells:
+        got = compose_poly(m, inv).cell_map[c]
+        if m.target.canonical(got) != m.target.canonical(
+            m.target.cell_element(c)
+        ):
+            return None
+    for c in m.source.cells:
+        got = compose_poly(inv, m).cell_map[c]
+        if m.source.canonical(got) != m.source.canonical(
+            m.source.cell_element(c)
+        ):
+            return None
+    return m
+
+
+def _twisted_copy(rng, C):
+    """An isomorphic copy of C with renamed cells, where the new cell of c
+    is c read through a random automorphism psi_c: face entries and
+    stabilizers are twisted to match."""
+    perm = rng.sample(range(len(C.cells)), len(C.cells))
+    name = {c: f"t{k}" for c, k in zip(sorted(C.cells), perm)}
+    psi = {c: rng.choice(automorphisms(n)) for c, n in C.cells.items()}
+    stabs = {name[c]: frozenset(compose(psi[c].inverse(), compose(s, psi[c]))
+                                for s in C.stabs[c]) for c in C.cells}
+    faces = {}
+    for c, n in C.cells.items():
+        for iota in injections_into(n):
+            if not iota.is_iso():
+                e = C.act(Element(c, psi[c]), iota)
+                faces[(name[c], iota)] = Element(
+                    name[e.cell], compose(psi[e.cell].inverse(), e.epi))
+    return PolysimplicialSet({name[c]: n for c, n in C.cells.items()}, stabs, faces)
+
+
+def _cell_map(m):
+    if m is None:
+        return None
+    return sorted((c, e.cell, e.epi.key()) for c, e in m.cell_map.items())
+
+
+def test_find_isomorphism_matches_reference_search():
+    rng = random.Random(SEED)
+    point = representable((0,))
+    shapes = [representable(n) for n in [(0,), (1,), (2,), (1, 1)]]
+    shapes += [_circle()] + [_random_polygon(rng, n) for n in (3, 4, 5)]
+    pairs = [(X, X) for X in shapes]
+    pairs += [(box_product(X, point), X) for X in shapes]
+    pairs += [(box_product(point, X), X) for X in shapes[:4]]
+    for X in shapes:
+        T = _twisted_copy(rng, X)
+        pairs += [(X, T), (T, X)]
+    # negative pairs with equal multisets of cell indices
+    circle, P3, P4 = _circle(), _random_polygon(rng, 3), _random_polygon(rng, 4)
+    negatives = [(disjoint_union(circle, circle), _random_polygon(rng, 2)),
+                 (circle, _fold()), (disjoint_union(P3, circle), P4)]
+    for (A, B), iso in [(p, True) for p in pairs] + [(p, False) for p in negatives]:
+        assert sorted(A.cells.values()) == sorted(B.cells.values())
+        got = _cell_map(find_isomorphism(A, B))
+        assert got == _cell_map(_reference_find_isomorphism(A, B))
+        assert (got is not None) == iso
+
+
+def test_find_isomorphism_of_width_two_products():
+    # without pruning by face checks, a search tries every combination of
+    # images here and runs for minutes
+    L1, L2 = representable((1,)), representable((2,))
+    for A, B in [(box_product(L2, L1), representable((2, 1))),
+                 (box_product(box_product(L1, L1), L1), representable((1, 1, 1)))]:
+        m = find_isomorphism(A, B)
+        assert m is not None and is_cospec_iso(m).is_iso
+
+
+def test_cospec_polysimplicial_on_targets_with_stabilizers():
+    # realizations on targets with nontrivial stabilizers, pinned
+    circle, fold = _circle(), _fold()
+    m = cospec_polysimplicial(circle, fold, {"q0": "q0", "q1": "q1"})
+    assert _cell_map(m) == [("q0", "q0", ((0,), (0,), ((0,),))),
+                            ("q1", "q1", ((1,), (1,), ((0,), (1,))))]
+    L2 = representable((2,))
+    rot = next(g for g in automorphisms((2,)) if g.mapping == ((1,), (2,), (0,)))
+    Q = quotient(L2, [(L2.cell_element("s012"), Element("s012", rot))]).complex
+    class_map = {c: f"q{index_dim(n)}" for c, n in L2.cells.items()}
+    m = cospec_polysimplicial(L2, Q, class_map)
+    edge, rev = ((1,), (1,), ((0,), (1,))), ((1,), (1,), ((1,), (0,)))
+    assert _cell_map(m) == [
+        ("s0", "q0", ((0,), (0,), ((0,),))), ("s01", "q1", edge),
+        ("s012", "q2", ((2,), (2,), ((0,), (1,), (2,)))), ("s02", "q1", rev),
+        ("s1", "q0", ((0,), (0,), ((0,),))), ("s12", "q1", edge),
+        ("s2", "q0", ((0,), (0,), ((0,),)))]
+    # faces agree, but the edge of the fold is flip-invariant and no edge
+    # of the circle is
+    with pytest.raises(ValueError, match="no morphism realizes"):
+        cospec_polysimplicial(fold, circle, {"q0": "q0", "q1": "q1"})
