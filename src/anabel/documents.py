@@ -330,8 +330,21 @@ def load_polysimplicial(node: Node) -> PolysimplicialSet:
         if len(key) != 2:
             raise DocumentError("face blocks look like: face <cell>:")
         cell = key[1]
+        if cell not in cells:
+            raise DocumentError(f"face block of unknown cell {cell}")
         iota = _parse_morphism(block.one("along"))
+        along = " ".join(_morphism_tokens(iota))
+        if iota.target != cells[cell]:
+            raise DocumentError(f"face {cell} along {along}: along must end at the "
+                                f"index {_index_token(cells[cell])} of {cell}")
+        if iota.is_iso() or not iota.is_injective():
+            raise DocumentError(f"face {cell} along {along}: "
+                                "faces are along non-invertible injections")
+        if (cell, iota) in faces:
+            raise DocumentError(f"face {cell} along {along} is given twice")
         target = _need(block.one("target"), 1, "target = <cell> <morphism>")
+        if target[0] not in cells:
+            raise DocumentError(f"face {cell} along {along}: unknown target cell {target[0]}")
         faces[(cell, iota)] = Element(target[0], _parse_morphism(target[1:]))
     stabs = {c: frozenset(s) for c, s in stabs.items()}
     faces = _close_faces(cells, stabs, faces)

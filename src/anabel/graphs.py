@@ -33,6 +33,14 @@ class BranchGraph:
             if any(v not in vs for v in ends):
                 raise ValueError(f"edge {e} references unknown vertex")
             self.edges[str(e)] = ends
+        # edges is never written after construction, so the branch list and
+        # the incidence of each vertex are derived once here
+        self._branches: Tuple[Branch, ...] = tuple(
+            (e, slot) for e in sorted(self.edges) for slot in range(len(self.edges[e]))
+        )
+        self._branches_at: Dict[str, List[Branch]] = {v: [] for v in self.vertices}
+        for e, slot in self._branches:
+            self._branches_at[self.edges[e][slot]].append((e, slot))
 
     def __repr__(self):
         return f"BranchGraph({list(self.vertices)!r}, {self.edges!r})"
@@ -46,11 +54,7 @@ class BranchGraph:
         return sorted(e for e, ends in self.edges.items() if len(ends) == 1)
 
     def branches(self) -> List[Branch]:
-        out = []
-        for e in sorted(self.edges):
-            for slot in range(len(self.edges[e])):
-                out.append((e, slot))
-        return out
+        return list(self._branches)
 
     def psi(self, b: Branch) -> str:
         e, slot = b
@@ -63,10 +67,10 @@ class BranchGraph:
         return (e, 1 - slot)
 
     def branches_at(self, v: str) -> List[Branch]:
-        return [b for b in self.branches() if self.psi(b) == v]
+        return list(self._branches_at.get(v, ()))
 
     def arity(self, v: str) -> int:
-        return len(self.branches_at(v))
+        return len(self._branches_at.get(v, ()))
 
     # -- connectivity --------------------------------------------------------
 

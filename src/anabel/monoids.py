@@ -11,22 +11,84 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import lru_cache
+from math import gcd, lcm
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .intlin import (
-    FgAbGroup, IntMatrix, lattice_member, rank, smith_normal_form, solve_eq_ineq,
+    FgAbGroup, IntMatrix, lattice_member, nullspace, rank, row_reduce, smith_normal_form,
+    solve_eq_ineq,
 )
 
 Vec = Tuple[int, ...]
 
+def _primitive(v: Sequence) -> Vec:
+    """The primitive integer vector on the ray of a rational vector (0 stays 0)."""
+    den = lcm(*(Fraction(c).denominator for c in v))
+    ints = [int(c * den) for c in v]
+    g = gcd(*ints) or 1
+    return tuple(c // g for c in ints)
+
+
+def _dot(a: Sequence[int], x: Sequence[int]) -> int:
+    return sum(p * c for p, c in zip(a, x))
+
+
+def _combine(s: int, x: Vec, t: int, y: Vec) -> Vec:
+    """The primitive vector on the ray of s x + t y."""
+    return _primitive([s * a + t * b for a, b in zip(x, y)])
+
+
+@lru_cache(maxsize=None)
+def _cone_inequalities(gens: Tuple[Vec, ...], dim: int) -> Tuple[Tuple[Vec, ...], Tuple[Vec, ...]]:
+    """Integer (equations, facet normals) of the rational cone C spanned by gens
+    in Q^dim: C = {x : e.x = 0 for every equation e, a.x >= 0 for every a}.
+
+    The equations are a basis of the orthogonal complement of the linear span
+    L of gens. The facet normals inside L are the extreme rays of the dual
+    cone {a in L : a.g >= 0 for every g}, which is pointed. They come from
+    the double description method (Fukuda & Prodon, "Double description
+    method revisited", 1996): start from the lineality basis of L, add one
+    generator's inequality at a time, and keep the rays as integer vectors
+    with the set of generators each one vanishes on. Two rays on opposite
+    sides of a new inequality are combined only when they are adjacent, that
+    is when no third ray vanishes on every generator both vanish on.
+    """
+    equations = tuple(_primitive(y) for y in nullspace(gens, dim))
+    lineality = [_primitive(row) for row in row_reduce(gens, dim)[0]]
+    rays: List[Tuple[Vec, int]] = []  # (normal, bitmask of the generators it vanishes on)
+    for k, g in enumerate(sorted({_primitive(g) for g in gens if any(g)})):
+        bit = 1 << k
+        i0 = next((i for i, b in enumerate(lineality) if _dot(b, g)), None)
+        if i0 is not None:
+            # g cuts the lineality space: b0 on its positive side becomes a
+            # ray, everything else is moved onto the hyperplane g = 0 along b0
+            b0 = lineality.pop(i0)
+            s0 = _dot(b0, g)
+            if s0 < 0:
+                b0, s0 = tuple(-c for c in b0), -s0
+            lineality = [_combine(s0, b, -_dot(b, g), b0) for b in lineality]
+            rays = [(_combine(s0, r, -_dot(r, g), b0), z | bit) for r, z in rays]
+            rays.append((b0, bit - 1))
+            continue
+        side = [_dot(r, g) for r, _ in rays]
+        new = [(r, z | bit if d == 0 else z) for (r, z), d in zip(rays, side) if d >= 0]
+        for i, (p, zp) in enumerate(rays):
+            for j, (n, zn) in enumerate(rays):
+                if side[i] <= 0 or side[j] >= 0:
+                    continue
+                common = zp & zn
+                if all(z & common != common for m, (_, z) in enumerate(rays) if m not in (i, j)):
+                    new.append((_combine(side[i], n, -side[j], p), common | bit))
+        rays = new
+    return equations, tuple(sorted(r for r, _ in rays))
+
+
 def cone_member(v: Sequence[int], gens: Sequence[Vec]) -> bool:
     """Is v in the rational cone spanned by gens?"""
-    k = len(gens)
-    if k == 0:
-        return all(x == 0 for x in v)
-    eqs = [([g[j] for g in gens], v[j]) for j in range(len(v))]
-    ins = [(tuple(int(i == t) for i in range(k)), 0) for t in range(k)]
-    return solve_eq_ineq(eqs, ins, k) is not None
+    equations, facets = _cone_inequalities(tuple(map(tuple, gens)), len(v))
+    return (all(_dot(e, v) == 0 for e in equations)
+            and all(_dot(a, v) >= 0 for a in facets))
 
 
 def _positive_functional(gens: Sequence[Vec], unit_idx: Set[int], dim: int):
@@ -113,28 +175,34 @@ class AffineMonoid:
         units = self.unit_generator_indices()
         ugens = [self.gens[i] for i in sorted(units)]
         others = [self.gens[i] for i in range(len(self.gens)) if i not in units]
-        phi = self._grading()
-
-        def phival(v):
-            return sum(p * c for p, c in zip(phi, v))
-
-        target = phival(x)
+        # a positive multiple of the grading with integer entries: zero on the
+        # units and positive on the other generators
+        phi = _primitive(self._grading())
+        weights = [_dot(phi, g) for g in others]
+        target = _dot(phi, x)
         if target < 0:
             return False
+        # the budget left at a state is phi(residual), so whether a state
+        # (idx, residual) succeeds does not depend on the path to it
+        failed: Set[Tuple[int, Vec]] = set()
 
-        def search(idx: int, residual: Vec, budget: Fraction) -> bool:
-            if budget == 0:
-                return lattice_member(ugens, residual)
-            if idx == len(others):
+        def search(idx: int, residual: Vec, budget: int) -> bool:
+            if (idx, residual) in failed:
                 return False
-            g = others[idx]
-            w = phival(g)
-            cmax = int(budget / w)
-            for c in range(cmax + 1):
-                r = tuple(residual[j] - c * g[j] for j in range(self.dim))
-                if search(idx + 1, r, budget - c * w):
-                    return True
-            return False
+            if budget == 0:
+                found = lattice_member(ugens, residual)
+            elif idx == len(others):
+                found = False
+            else:
+                g, w = others[idx], weights[idx]
+                found = any(
+                    search(idx + 1, tuple(r - c * gj for r, gj in zip(residual, g)),
+                           budget - c * w)
+                    for c in range(budget // w + 1)
+                )
+            if not found:
+                failed.add((idx, residual))
+            return found
 
         return search(0, x, target)
 

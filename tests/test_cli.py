@@ -149,6 +149,7 @@ def test_cli_import_loads_no_library_module():
     ("faces", "n2.monoid", "dim = 2", "dim ="),
     ("cospec", "chain.poset", "pair = x a", "pair = x"),
     ("pi1", "torus.poly", "along = 1 1,1 0.0 0.1", "along = 1 1,1 99 0.0"),
+    ("pi1", "torus.poly", "target = q2 1 1 0 1", "target = zz 1 1 0 1"),
 ])
 def test_malformed_document_exit_code(tmp_path, command, doc, old, new):
     text = (DATA / doc).read_text()
@@ -160,6 +161,26 @@ def test_malformed_document_exit_code(tmp_path, command, doc, old, new):
     assert proc.stderr.startswith("input error: ")
     assert len(proc.stderr.splitlines()) == 1
     assert "Traceback" not in proc.stderr
+
+
+@pytest.mark.parametrize("block,reason", [
+    ("face zz:\n  along = 0 1 0\n  target = q0 0 0 0\n", "face block of unknown cell zz"),
+    ("face q1:\n  along = 1 1 0 1\n  target = q2 1 1 0 1\n",
+     "face q1 along 1 1 0 1: faces are along non-invertible injections"),
+    ("face q3:\n  along = 1 1,1 0.0 0.0\n  target = q1 1 1 0 1\n",
+     "face q3 along 1 1,1 0.0 0.0: faces are along non-invertible injections"),
+    ("face q1:\n  along = 0 1 0\n  target = q0 0 0 0\n", "face q1 along 0 1 0 is given twice"),
+    ("face q0:\n  along = 0 1 0\n  target = q0 0 0 0\n",
+     "face q0 along 0 1 0: along must end at the index 0 of q0"),
+])
+def test_face_entries_the_normal_form_never_reads(tmp_path, block, reason):
+    # each block is read by no normal-form lookup, or contradicts an entry
+    # that is, so the document is rejected instead of silently accepted
+    bad = tmp_path / "torus.poly"
+    bad.write_text((DATA / "torus.poly").read_text() + block)
+    proc = run_cli(["pi1", "--input", str(bad)])
+    assert proc.returncode == 2
+    assert proc.stderr == f"input error: {bad}: {reason}\n"
 
 
 def test_internal_fault_exit_code(monkeypatch, capsys):

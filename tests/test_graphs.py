@@ -1,3 +1,5 @@
+import os
+import random
 from fractions import Fraction
 
 import pytest
@@ -24,6 +26,50 @@ def loop_with_cusp():
 
 def circle2():
     return BranchGraph(["u", "v"], {"a": ("u", "v"), "b": ("u", "v")})
+
+
+SEED = int(os.environ.get("ANABEL_SEED", "0"))
+
+
+def _reference_branches(G):
+    out = []
+    for e in sorted(G.edges):
+        for slot in range(len(G.edges[e])):
+            out.append((e, slot))
+    return out
+
+
+def _reference_branches_at(G, v):
+    return [b for b in _reference_branches(G) if G.psi(b) == v]
+
+
+def _random_branch_graph(rng):
+    """Random graph with loops, cusps, multi-edges and isolated vertices. The
+    edge ids are all ints or all strings; ints are sorted as their strings."""
+    vertices = [rng.choice([str(i), f"v{i}"]) for i in range(rng.randint(1, 6))]
+    ints = rng.random() < 0.5
+    edges = {}
+    for i in range(rng.randint(0, 14)):
+        e = rng.choice([i, 3 * i + 2]) if ints else rng.choice([f"e{i}", str(20 - i)])
+        u = rng.choice(vertices)
+        kind = rng.random()
+        edges[e] = (u,) if kind < 0.25 else (u, u) if kind < 0.45 else (u, rng.choice(vertices))
+    return BranchGraph(vertices, edges)
+
+
+def test_branch_index_matches_reference_definitions():
+    rng = random.Random(SEED)
+    for _ in range(200):
+        G = _random_branch_graph(rng)
+        assert G.branches() == _reference_branches(G)
+        for v in G.vertices + ("not-a-vertex",):
+            assert G.branches_at(v) == _reference_branches_at(G, v)
+            assert G.arity(v) == len(_reference_branches_at(G, v))
+    # edge ids are sorted as strings: "10" comes before "2"
+    G = BranchGraph(["a"], {2: ("a",), 10: ("a", "a")})
+    assert G.branches() == [("10", 0), ("10", 1), ("2", 0)]
+    assert G.branches_at("a") == G.branches()
+    assert G.arity("a") == 3
 
 
 def test_cycle_rank():

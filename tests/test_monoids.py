@@ -1,11 +1,13 @@
 import itertools
+import os
 import pathlib
+import random
 from fractions import Fraction
 
 import pytest
 
 from anabel import documents
-from anabel.intlin import FgAbGroup
+from anabel.intlin import FgAbGroup, solve_eq_ineq
 from anabel.monoids import (
     AffineMonoid,
     Counterexample,
@@ -15,6 +17,8 @@ from anabel.monoids import (
     cone_member,
     is_kummer,
 )
+
+SEED = int(os.environ.get("ANABEL_SEED", "0"))
 
 N = AffineMonoid.free(1)
 N2 = AffineMonoid.free(2)
@@ -68,6 +72,54 @@ def test_cone_member():
     assert not cone_member((-1, 0), [(1, 1), (1, -1)])
     assert cone_member((0, 0), [])
     assert not cone_member((1,), [])
+
+
+def _reference_cone_member(v, gens):
+    """Is v in the rational cone spanned by gens?"""
+    k = len(gens)
+    if k == 0:
+        return all(x == 0 for x in v)
+    eqs = [([g[j] for g in gens], v[j]) for j in range(len(v))]
+    ins = [(tuple(int(i == t) for i in range(k)), 0) for t in range(k)]
+    return solve_eq_ineq(eqs, ins, k) is not None
+
+
+def _random_generator_sets(rng, d):
+    """Generator sets in Z^d: the empty set, zero generators, lines (g and -g),
+    cones of every rank up to d, and spans that are not full-dimensional."""
+    def vec(lo=-3, hi=3):
+        return tuple(rng.randint(lo, hi) for _ in range(d))
+
+    zero = (0,) * d
+    g = vec(1, 3)
+    yield []
+    yield [zero]
+    yield [g, tuple(-c for c in g)]
+    yield [g, tuple(-c for c in g), zero, vec()]
+    for _ in range(20):
+        yield [vec() for _ in range(rng.randint(1, d + 3))]
+    for _ in range(10):
+        basis = [vec() for _ in range(rng.randint(1, max(1, d - 1)))]
+        gens = []
+        for _ in range(rng.randint(1, d + 2)):
+            coeffs = [rng.randint(-2, 2) for _ in basis]
+            gens.append(tuple(sum(c * b[j] for c, b in zip(coeffs, basis)) for j in range(d)))
+        if rng.random() < 0.5:
+            gens.append(zero)
+        yield gens
+
+
+def test_cone_member_matches_fourier_motzkin_reference():
+    rng = random.Random(SEED)
+    for d in range(1, 5):
+        for gens in _random_generator_sets(rng, d):
+            points = [tuple(rng.randint(-4, 4) for _ in range(d)) for _ in range(12)]
+            for _ in range(6):
+                coeffs = [rng.randint(-1, 3) for _ in gens]
+                s = tuple(sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(d))
+                points += [s, tuple(-c for c in s)]
+            for v in points:
+                assert cone_member(v, gens) == _reference_cone_member(v, gens), (v, gens)
 
 
 def test_faces_of_free_monoids():
