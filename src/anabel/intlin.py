@@ -2,9 +2,12 @@
 
 Over Q: row reduction, nullspace, rank and exact linear feasibility
 (Fourier-Motzkin). Over Z: Smith normal form, f.g. abelian groups,
-cokernels and lattice membership. Everything works with plain integers and
-`Fraction`, so there is no overflow; pivot growth is harmless at the matrix
-sizes this package deals with (a few hundred entries at most).
+cokernels and lattice membership. One reduction core serves the Smith form;
+`smith_normal_form` has it track U and V, while `smith_diagonal` (behind
+cokernels, kernel ranks and mod-n solution groups) tracks no transforms.
+Everything works with plain integers and `Fraction`, so there is no
+overflow; pivot growth is harmless at the matrix sizes this package deals
+with (a few hundred entries at most).
 """
 
 from __future__ import annotations
@@ -311,58 +314,71 @@ def solve_eq_ineq(equalities, inequalities, nvars: int) -> Optional[List[Fractio
 
 
 def _pivot_position(a, start, n, m):
-    """Smallest nonzero absolute value, ties broken by row-major position."""
+    """Smallest nonzero absolute value, ties broken by row-major position.
+
+    No key is smaller than a unit's, so the first unit met is the pivot.
+    """
     best = None
     for i in range(start, n):
+        row = a[i]
         for j in range(start, m):
-            v = a[i][j]
-            if v != 0:
+            v = row[j]
+            if v:
+                if v == 1 or v == -1:
+                    return i, j
                 key = (abs(v), i, j)
-                if best is None or key < best[0]:
-                    best = (key, i, j)
-    return None if best is None else (best[1], best[2])
+                if best is None or key < best:
+                    best = key
+    return None if best is None else best[1:]
 
 
-def smith_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
-    """Return (U, S, V) with U*M*V = S, U and V unimodular, S in Smith form.
+def _smith_reduce(a, n, m, u=None, v=None) -> None:
+    """Reduce the n x m integer matrix `a` (a list of row lists) in place to
+    Smith form: diagonal with nonnegative entries d1 | d2 | ...
 
-    S is diagonal with nonnegative entries d1 | d2 | ... Pivots are chosen
-    deterministically (smallest nonzero absolute value, lowest position), so
-    U and V are reproducible.
+    Each row operation is also applied to `u`, and each column operation to
+    `v`, when they are given; started from identities they end as U and V
+    with U*M*V = S. Pivots are chosen deterministically (smallest nonzero
+    absolute value, lowest position), so U and V are reproducible. Only work
+    that cannot change an entry is skipped: the divisibility scan under a
+    unit pivot, and the rows of a column operation whose source entry is 0.
     """
-    n, m = M.rows, M.cols
-    a = M.to_rows()
-    u = IntMatrix.identity(n).to_rows()
-    v = IntMatrix.identity(m).to_rows()
 
     def swap_rows(i, j):
         a[i], a[j] = a[j], a[i]
-        u[i], u[j] = u[j], u[i]
+        if u is not None:
+            u[i], u[j] = u[j], u[i]
 
     def swap_cols(i, j):
         for r in a:
             r[i], r[j] = r[j], r[i]
-        for r in v:
-            r[i], r[j] = r[j], r[i]
+        if v is not None:
+            for r in v:
+                r[i], r[j] = r[j], r[i]
 
     def addmul_row(dst, src, c):
         if c:
             a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-            u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+            if u is not None:
+                u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
 
     def addmul_col(dst, src, c):
         if c:
             for r in a:
-                r[dst] += c * r[src]
-            for r in v:
-                r[dst] += c * r[src]
+                if r[src]:
+                    r[dst] += c * r[src]
+            if v is not None:
+                for r in v:
+                    if r[src]:
+                        r[dst] += c * r[src]
 
     def negate_row(i):
         a[i] = [-x for x in a[i]]
-        u[i] = [-x for x in u[i]]
+        if u is not None:
+            u[i] = [-x for x in u[i]]
 
     t = 0
-    while True:
+    while t < min(n, m):
         piv = _pivot_position(a, t, n, m)
         if piv is None:
             break
@@ -390,8 +406,9 @@ def smith_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
                         progress = True
             if not progress:
                 break
-        # divisibility: fold any entry not divisible by the pivot back in
-        while True:
+        # divisibility: fold any entry not divisible by the pivot back in;
+        # a unit pivot divides everything
+        while a[t][t] not in (1, -1):
             bad = None
             for i in range(t + 1, n):
                 for j in range(t + 1, m):
@@ -425,22 +442,30 @@ def smith_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
         if a[t][t] < 0:
             negate_row(t)
         t += 1
-        if t >= min(n, m):
-            break
 
+
+def smith_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
+    """Return (U, S, V) with U*M*V = S, U and V unimodular, S in Smith form
+    (pivot rule and divisibility chain as in `_smith_reduce`)."""
+    n, m = M.rows, M.cols
+    a = M.to_rows()
+    u = IntMatrix.identity(n).to_rows()
+    v = IntMatrix.identity(m).to_rows()
+    _smith_reduce(a, n, m, u, v)
     U = IntMatrix.from_rows(u) if n else IntMatrix.zero(0, 0)
     V = IntMatrix.from_rows(v) if m else IntMatrix.zero(0, 0)
     S = IntMatrix.from_rows(a) if n else IntMatrix.zero(0, m)
-    if n == 0:
-        S = IntMatrix.zero(0, m)
     return U, S, V
 
 
 def smith_diagonal(M: IntMatrix) -> Tuple[int, ...]:
-    """The diagonal of the Smith form of M, including zeros, length min(n, m)."""
-    _, S, _ = smith_normal_form(M)
-    k = min(M.rows, M.cols)
-    return tuple(S[i, i] for i in range(k))
+    """The diagonal of the Smith form of M, including zeros, length min(n, m).
+
+    Only the matrix itself is reduced; no transforms are tracked.
+    """
+    a = M.to_rows()
+    _smith_reduce(a, M.rows, M.cols)
+    return tuple(a[i][i] for i in range(min(M.rows, M.cols)))
 
 
 def _smith_rank(diag: Sequence[int]) -> int:

@@ -228,18 +228,19 @@ class AffineMonoid:
     # -- faces ---------------------------------------------------------------
 
     def faces(self) -> List["Face"]:
-        """All faces, as generator-index subsets, ordered by inclusion-size."""
-        k = len(self.gens)
-        out = []
-        for mask in range(1 << k):
-            T = {i for i in range(k) if mask >> i & 1}
-            if len(T) == k:
-                out.append(Face(self, frozenset(T)))
-                continue
-            if _positive_functional(self.gens, T, self.dim) is not None:
-                out.append(Face(self, frozenset(T)))
-        out.sort(key=lambda f: (len(f.indices), tuple(sorted(f.indices))))
-        return out
+        """All faces, as generator-index subsets, ordered by inclusion-size.
+
+        A face is where a nonnegative combination of facet normals vanishes,
+        so its generator set is the intersection of the zero sets of some
+        facet normals (of none, for the whole cone).
+        """
+        _, facets = _cone_inequalities(self.gens, self.dim)
+        index_sets = {frozenset(range(len(self.gens)))}
+        for a in facets:
+            zero = frozenset(i for i, g in enumerate(self.gens) if _dot(a, g) == 0)
+            index_sets |= {s & zero for s in index_sets}
+        return sorted((Face(self, s) for s in index_sets),
+                      key=lambda f: (len(f.indices), tuple(sorted(f.indices))))
 
     # -- saturation -----------------------------------------------------------
 

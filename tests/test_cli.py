@@ -118,6 +118,22 @@ def test_malformed_extension_exit_code(tmp_path, old, new):
     assert "Traceback" not in proc.stderr
 
 
+def test_non_associative_pi_table_exit_code(tmp_path):
+    # pi is a Latin square with identity 0 of order 5 that is not a group
+    doc = tmp_path / "loop.extension"
+    doc.write_text(
+        "kind = extension-data\npi:\n"
+        "  row = 0 1 2 3 4\n  row = 1 0 3 4 2\n  row = 2 4 0 1 3\n"
+        "  row = 3 2 4 0 1\n  row = 4 3 1 2 0\n"
+        "h:\n  row = 0 1\n  row = 1 0\n"
+        "alpha 0 = 0 1 2 3 4\nalpha 1 = 0 1 2 3 4\n"
+        "g 0 0 = 0\ng 0 1 = 0\ng 1 0 = 0\ng 1 1 = 0\n"
+    )
+    proc = run_cli(["schreier", "--input", str(doc)])
+    assert proc.returncode == 2
+    assert proc.stderr == f"input error: {doc}: associativity fails at (1, 1, 2)\n"
+
+
 def test_cospec_failure_exit_code(tmp_path):
     # a is minimal in s1, but the unique maximum of its fiber, y, is not
     # minimal in s2

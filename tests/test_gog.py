@@ -1,4 +1,6 @@
 import itertools
+import os
+import random
 
 import pytest
 
@@ -269,3 +271,123 @@ def test_schreier_regauge():
     # identity regauge changes nothing
     same, iso = schreier_regauge(data, {0: 0, 1: 0})
     assert same.alpha == data.alpha and same.g == data.g
+
+
+# -- associativity on generators against the exhaustive scan --------------------------
+
+SEED = int(os.environ.get("ANABEL_SEED", "0"))
+
+
+def _reference_associative(table):
+    """The exhaustive n^3 scan: None, or the reason naming the first failing
+    triple in (a, b, c) order."""
+    n = len(table)
+    for a in range(n):
+        for b in range(n):
+            ab = table[a][b]
+            for c in range(n):
+                if table[ab][c] != table[a][table[b][c]]:
+                    return f"associativity fails at {(a, b, c)}"
+    return None
+
+
+def _verdict(table):
+    try:
+        FiniteGroup(table)
+    except ValueError as exc:
+        return str(exc)
+    return None
+
+
+def _random_loop(rng, n):
+    """A random Latin square whose row 0 and column 0 are the identity."""
+    t = [[a if b == 0 else b if a == 0 else None for b in range(n)] for a in range(n)]
+    cells = [(a, b) for a in range(1, n) for b in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        a, b = cells[k]
+        free = sorted(set(range(n)) - set(t[a]) - {t[x][b] for x in range(n)})
+        rng.shuffle(free)
+        for x in free:
+            t[a][b] = x
+            if fill(k + 1):
+                return True
+        t[a][b] = None
+        return False
+
+    assert fill(0)
+    return t
+
+
+def _relabelled(table, rng):
+    """The same table under a random relabelling that fixes 0."""
+    n = len(table)
+    rest = list(range(1, n))
+    rng.shuffle(rest)
+    perm = [0] + rest
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[perm[a]][perm[b]] = perm[table[a][b]]
+    return out
+
+
+def test_associativity_on_generators_matches_exhaustive_scan():
+    rng = random.Random(SEED)
+    groups = [Z2, Z3, Z4, S3, FiniteGroup.cyclic(5), FiniteGroup.cyclic(6),
+              FiniteGroup.direct_product(Z2, Z2)]
+    tables = [_relabelled(G.table, rng) for G in groups for _ in range(20)]
+    tables += [_random_loop(rng, n) for n in range(2, 7) for _ in range(80 if n < 6 else 200)]
+    # Z/2 x (a non-associative loop of order 5), element a + 2b = (a, b):
+    # element 1 = (1, 0) associates with everything but generates only
+    # Z/2, so a check on the first generator alone would accept the table
+    loop = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
+    tables.append([[(a + c) % 2 + 2 * loop[b][d] for d in range(5) for c in range(2)]
+                   for b in range(5) for a in range(2)])
+    verdicts = set()
+    for table in tables:
+        want = _reference_associative(table)
+        assert _verdict(table) == want, table
+        verdicts.add(want is None)
+    assert verdicts == {True, False}
+
+
+def _semidirect_data(n, m, r):
+    """Z/n by Z/m with h acting as x -> r^h x, split."""
+    alpha = {h: tuple(pow(r, h, n) * x % n for x in range(n)) for h in range(m)}
+    g = {p: 0 for p in itertools.product(range(m), repeat=2)}
+    return ExtensionData(FiniteGroup.cyclic(n), FiniteGroup.cyclic(m), alpha, g)
+
+
+def _carry_data(n, m):
+    """Z/n by Z/m, trivial action, the carry cocycle."""
+    alpha = {h: tuple(range(n)) for h in range(m)}
+    g = {(a, b): int(a + b >= m) for a, b in itertools.product(range(m), repeat=2)}
+    return ExtensionData(FiniteGroup.cyclic(n), FiniteGroup.cyclic(m), alpha, g)
+
+
+# the Schreier data sets of the algebra benchmark
+BENCHMARK_EXTENSIONS = {
+    "Z3:Z2": (_semidirect_data, 3, 2, 2), "Z5:Z4": (_semidirect_data, 5, 4, 2),
+    "Z7:Z3": (_semidirect_data, 7, 3, 2), "Z4.Z2": (_carry_data, 4, 2),
+    "Z3.Z3": (_carry_data, 3, 3), "Z2.Z4": (_carry_data, 2, 4),
+    "Z4:Z2": (_semidirect_data, 4, 2, 3), "Z6:Z2": (_semidirect_data, 6, 2, 5),
+    "Z7:Z6": (_semidirect_data, 7, 6, 3), "Z9:Z6": (_semidirect_data, 9, 6, 2),
+    "Z11:Z5": (_semidirect_data, 11, 5, 3), "Z5.Z5": (_carry_data, 5, 5),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BENCHMARK_EXTENSIONS))
+def test_benchmark_extensions_are_groups(name):
+    make, *args = BENCHMARK_EXTENSIONS[name]
+    data = make(*args)
+    rng = random.Random(f"{SEED}/{name}")
+    ext = schreier_extension(data)
+    assert ext.group.order == data.pi.order * data.h.order
+    assert _reference_associative(ext.group.table) is None
+    for _ in range(2):
+        gamma = {h: rng.randrange(data.pi.order) for h in range(data.h.order)}
+        regauged = schreier_extension(schreier_regauge(data, gamma)[0])
+        assert _reference_associative(regauged.group.table) is None

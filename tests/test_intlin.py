@@ -1,3 +1,4 @@
+import os
 import random
 from fractions import Fraction
 
@@ -277,3 +278,167 @@ def test_smith_diagonal_matches_sympy():
         ref = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
         expected = [abs(int(ref[i, i])) for i in range(min(n, m))]
         assert list(smith_diagonal(IntMatrix.from_rows(rows))) == expected, rows
+
+
+# -- the Smith form against the full-scan, always-tracking reduction ------------------
+
+SEED = int(os.environ.get("ANABEL_SEED", "0"))
+
+
+def _reference_pivot_position(a, start, n, m):
+    """Smallest nonzero absolute value, ties broken by row-major position."""
+    best = None
+    for i in range(start, n):
+        for j in range(start, m):
+            v = a[i][j]
+            if v != 0:
+                key = (abs(v), i, j)
+                if best is None or key < best[0]:
+                    best = (key, i, j)
+    return None if best is None else (best[1], best[2])
+
+
+def _reference_smith_normal_form(M: IntMatrix):
+    """A Smith reduction that always tracks U and V, scans the whole block
+    for the pivot and for divisibility, and touches every row of a column
+    operation."""
+    n, m = M.rows, M.cols
+    a = M.to_rows()
+    u = IntMatrix.identity(n).to_rows()
+    v = IntMatrix.identity(m).to_rows()
+
+    def swap_rows(i, j):
+        a[i], a[j] = a[j], a[i]
+        u[i], u[j] = u[j], u[i]
+
+    def swap_cols(i, j):
+        for r in a:
+            r[i], r[j] = r[j], r[i]
+        for r in v:
+            r[i], r[j] = r[j], r[i]
+
+    def addmul_row(dst, src, c):
+        if c:
+            a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
+            u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
+
+    def addmul_col(dst, src, c):
+        if c:
+            for r in a:
+                r[dst] += c * r[src]
+            for r in v:
+                r[dst] += c * r[src]
+
+    def negate_row(i):
+        a[i] = [-x for x in a[i]]
+        u[i] = [-x for x in u[i]]
+
+    t = 0
+    while True:
+        piv = _reference_pivot_position(a, t, n, m)
+        if piv is None:
+            break
+        pi, pj = piv
+        if pi != t:
+            swap_rows(t, pi)
+        if pj != t:
+            swap_cols(t, pj)
+        while True:
+            # clear column t, then row t; a smaller remainder may reappear
+            progress = False
+            for i in range(t + 1, n):
+                if a[i][t]:
+                    q = a[i][t] // a[t][t]
+                    addmul_row(i, t, -q)
+                    if a[i][t]:
+                        swap_rows(t, i)
+                        progress = True
+            for j in range(t + 1, m):
+                if a[t][j]:
+                    q = a[t][j] // a[t][t]
+                    addmul_col(j, t, -q)
+                    if a[t][j]:
+                        swap_cols(t, j)
+                        progress = True
+            if not progress:
+                break
+        # divisibility: fold any entry not divisible by the pivot back in
+        while True:
+            bad = None
+            for i in range(t + 1, n):
+                for j in range(t + 1, m):
+                    if a[i][j] % a[t][t] != 0:
+                        bad = (i, j)
+                        break
+                if bad:
+                    break
+            if bad is None:
+                break
+            bi, bj = bad
+            addmul_row(t, bi, 1)
+            while True:
+                progress = False
+                for j in range(t + 1, m):
+                    if a[t][j]:
+                        q = a[t][j] // a[t][t]
+                        addmul_col(j, t, -q)
+                        if a[t][j]:
+                            swap_cols(t, j)
+                            progress = True
+                for i in range(t + 1, n):
+                    if a[i][t]:
+                        q = a[i][t] // a[t][t]
+                        addmul_row(i, t, -q)
+                        if a[i][t]:
+                            swap_rows(t, i)
+                            progress = True
+                if not progress:
+                    break
+        if a[t][t] < 0:
+            negate_row(t)
+        t += 1
+        if t >= min(n, m):
+            break
+
+    U = IntMatrix.from_rows(u) if n else IntMatrix.zero(0, 0)
+    V = IntMatrix.from_rows(v) if m else IntMatrix.zero(0, 0)
+    S = IntMatrix.from_rows(a) if n else IntMatrix.zero(0, m)
+    if n == 0:
+        S = IntMatrix.zero(0, m)
+    return U, S, V
+
+
+def _incidence_like(rng, n, m):
+    """Columns with at most two nonzero entries, each +1 or -1."""
+    rows = [[0] * m for _ in range(n)]
+    for j in range(m):
+        for i in rng.sample(range(n), min(n, rng.randint(0, 2))):
+            rows[i][j] = rng.choice((1, -1))
+    return rows
+
+
+def _smith_corpus(rng):
+    for _ in range(1500):
+        n, m = rng.randint(0, 5), rng.randint(0, 5)
+        yield n, m, [[rng.randint(-3, 3) for _ in range(m)] for _ in range(n)]
+    for _ in range(60):
+        n, m = rng.randint(1, 30), rng.randint(1, 60)
+        yield n, m, _incidence_like(rng, n, m)
+    # no unit entries at all, so the divisibility loop runs
+    for _ in range(500):
+        n, m = rng.randint(1, 5), rng.randint(1, 5)
+        yield n, m, [[rng.choice((0, 2, -2, 3, -3, 4, 6, -6, 9)) for _ in range(m)]
+                     for _ in range(n)]
+
+
+def test_smith_normal_form_matches_reference():
+    rng = random.Random(SEED)
+    # the first pivot divides no other entry, so the divisibility loop runs
+    fixed = [(2, 2, [[2, 0], [0, 3]]), (3, 3, [[6, 0, 0], [0, 4, 0], [0, 0, 9]])]
+    for n, m, rows in [*fixed, *_smith_corpus(rng)]:
+        M = IntMatrix(n, m, [x for r in rows for x in r])
+        got, want = smith_normal_form(M), _reference_smith_normal_form(M)
+        for g, w in zip(got, want):
+            assert (g.rows, g.cols, g.entries) == (w.rows, w.cols, w.entries), rows
+        S = want[1]
+        assert smith_diagonal(M) == tuple(S[i, i] for i in range(min(n, m))), rows

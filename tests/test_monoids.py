@@ -122,6 +122,29 @@ def test_cone_member_matches_fourier_motzkin_reference():
                 assert cone_member(v, gens) == _reference_cone_member(v, gens), (v, gens)
 
 
+def _reference_faces(P):
+    """Face index sets by scanning every generator subset T: T is a face when
+    some functional vanishes on T and is at least 1 on the other generators."""
+    k = len(P.gens)
+    out = []
+    for mask in range(1 << k):
+        T = {i for i in range(k) if mask >> i & 1}
+        eqs = [(P.gens[i], 0) for i in sorted(T)]
+        ins = [(g, 1) for i, g in enumerate(P.gens) if i not in T]
+        if len(T) == k or solve_eq_ineq(eqs, ins, P.dim) is not None:
+            out.append(frozenset(T))
+    return sorted(out, key=lambda s: (len(s), tuple(sorted(s))))
+
+
+def test_faces_match_subset_scan_reference():
+    rng = random.Random(SEED)
+    for d in range(1, 4):
+        for gens in _random_generator_sets(rng, d):
+            for gs in (gens, gens + gens[:1]):
+                P = AffineMonoid(d, gs)
+                assert [f.indices for f in P.faces()] == _reference_faces(P), gs
+
+
 def test_faces_of_free_monoids():
     for d in range(1, 5):
         faces = AffineMonoid.free(d).faces()
