@@ -30,6 +30,10 @@ CASES = {
     "covers_theta.txt": [
         "cover-enum", "--input", str(DATA / "theta.graph"), "--max-degree", "2",
     ],
+    "covers_bouquet3.txt": [
+        "cover-enum", "--input", str(DATA / "bouquet3.graph"), "--max-degree", "3",
+        "--machine",
+    ],
     "current_group_theta.txt": [
         "current-group", "--input", str(DATA / "theta.graph"),
     ],
