@@ -329,7 +329,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     sp = sub.add_parser("cover-enum", help="covers of a graph up to relabeling")
     sp.add_argument("--input", required=True)
-    sp.add_argument("--max-degree", type=int, default=2)
+    sp.add_argument("--max-degree", type=int, default=2,
+                    help="the degree of the covers listed: exactly this degree, "
+                    "not every degree up to it")
     sp.set_defaults(run=cmd_cover_enum)
 
     sp = sub.add_parser("current-group", help="group of currents on a graph")

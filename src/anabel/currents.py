@@ -62,10 +62,6 @@ class Current:
     def __hash__(self):
         return hash((self.modulus, tuple(sorted(self.values.items()))))
 
-    def is_zero(self, modulus: Optional[int] = None) -> bool:
-        m = modulus or self.modulus
-        return all(v % m == 0 if m else v == 0 for v in self.values.values())
-
     def add(self, other: "Current") -> "Current":
         if other.graph is not self.graph and other.graph.edges != self.graph.edges:
             raise ValueError("currents live on different graphs")

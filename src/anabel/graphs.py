@@ -3,8 +3,10 @@
 Edges carry one or two branches; a one-branch edge is a cusp. Branches are
 addressed as (edge_id, slot) with slot 0 or 1, and the branch involution
 swaps the two slots of a real edge. Covers are represented by permutation
-assignments on the non-tree edges, deduplicated under simultaneous
-conjugation of the fibers.
+assignments on the non-tree edges, one per orbit under simultaneous
+conjugation of the fibers. The orbit representatives (the lex-least
+assignment of each orbit) are generated directly by an orderly search, not
+found by canonicalizing every assignment.
 """
 
 from __future__ import annotations
@@ -21,26 +23,27 @@ class BranchGraph:
     """Vertices, edges with 1 or 2 branches, fixed-point-free pairing."""
 
     def __init__(self, vertices: Sequence[str], edges: Dict[str, Tuple]):
-        self.vertices: Tuple[str, ...] = tuple(sorted(str(v) for v in vertices))
+        self.vertices: Tuple[str, ...] = tuple(sorted(map(str, vertices)))
         vs = set(self.vertices)
         if len(vs) != len(self.vertices):
             raise ValueError("duplicate vertex ids")
         self.edges: Dict[str, Tuple[str, ...]] = {}
         for e, ends in sorted(edges.items()):
-            ends = tuple(str(v) for v in ends)
+            ends = tuple(map(str, ends))
             if len(ends) not in (1, 2):
                 raise ValueError(f"edge {e} must have 1 or 2 endpoints")
-            if any(v not in vs for v in ends):
+            if not vs.issuperset(ends):
                 raise ValueError(f"edge {e} references unknown vertex")
             self.edges[str(e)] = ends
         # edges is never written after construction, so the branch list and
         # the incidence of each vertex are derived once here
-        self._branches: Tuple[Branch, ...] = tuple(
-            (e, slot) for e in sorted(self.edges) for slot in range(len(self.edges[e]))
-        )
+        branches: List[Branch] = []
         self._branches_at: Dict[str, List[Branch]] = {v: [] for v in self.vertices}
-        for e, slot in self._branches:
-            self._branches_at[self.edges[e][slot]].append((e, slot))
+        for e in sorted(self.edges):
+            for slot, v in enumerate(self.edges[e]):
+                branches.append((e, slot))
+                self._branches_at[v].append((e, slot))
+        self._branches: Tuple[Branch, ...] = tuple(branches)
 
     def __repr__(self):
         return f"BranchGraph({list(self.vertices)!r}, {self.edges!r})"
@@ -169,17 +172,30 @@ class BranchGraph:
                 incident[u].append((e, w))
                 incident[w].append((e, u))
 
-        def extend(start, current, used_edges, visited):
+        # the path from start to current: its edges in order, and its vertices.
+        # Every used edge has both ends in visited, so only an edge back to
+        # start can be a used one, and then it is used[0]. Each cycle through
+        # start is walked in both directions; it is kept from the walk whose
+        # closing edge is larger than its first edge.
+        used: List[str] = []
+        visited: Set[str] = set()
+
+        def extend(start, current):
             for e, w in incident[current]:
-                if e in used_edges:
-                    continue
-                if w == start and len(used_edges) >= 1:
-                    cycles.add(frozenset(used_edges | {e}))
-                elif w not in visited and w > start:
-                    extend(start, w, used_edges | {e}, visited | {w})
+                if w == start:
+                    if used and e > used[0]:
+                        cycles.add(frozenset(used + [e]))
+                elif w > start and w not in visited:
+                    used.append(e)
+                    visited.add(w)
+                    extend(start, w)
+                    used.pop()
+                    visited.discard(w)
 
         for s in self.vertices:
-            extend(s, s, frozenset(), frozenset({s}))
+            visited.add(s)
+            extend(s, s)
+            visited.discard(s)
         return sorted(cycles, key=lambda c: (len(c), tuple(sorted(c))))
 
 
@@ -257,16 +273,28 @@ class GraphCover:
         return values.pop()
 
     def validate(self):
-        for b, img in self.branch_map.items():
-            if self.vertex_map[self.total.psi(b)] != self.base.psi(img):
+        """Check that the projection commutes with psi and the involution, is
+        a bijection on the branches at every vertex, and has constant fibers.
+        psi and iota are read straight off the two edge tables."""
+        total_edges, base_edges = self.total.edges, self.base.edges
+        vertex_map, branch_map = self.vertex_map, self.branch_map
+        for b, img in branch_map.items():
+            e, slot = b
+            ends = total_edges[e]
+            v = vertex_map[ends[slot]]
+            be, bslot = img
+            base_ends = base_edges[be]
+            if v != base_ends[bslot]:
                 raise ValueError(f"branch {b} does not commute with psi")
-            pb = self.total.iota(b)
-            if pb is not None:
-                if self.base.iota(img) != self.branch_map[pb]:
+            if len(ends) != 1:
+                base_pair = None if len(base_ends) == 1 else (be, 1 - bslot)
+                if base_pair != branch_map[(e, 1 - slot)]:
                     raise ValueError(f"branch {b} breaks the involution")
+        base_sorted = {v: sorted(bs) for v, bs in self.base._branches_at.items()}
+        total_at = self.total._branches_at
         for tv in self.total.vertices:
-            local = sorted(self.branch_map[b] for b in self.total.branches_at(tv))
-            base_local = sorted(self.base.branches_at(self.vertex_map[tv]))
+            local = sorted([branch_map[b] for b in total_at.get(tv, ())])
+            base_local = base_sorted.get(vertex_map[tv], [])
             if local != base_local:
                 raise ValueError(
                     f"projection is not branch-locally bijective at {tv}"
@@ -279,62 +307,107 @@ def _encode(v, i):
     return f"{v}@{i}"
 
 
+def _orbit_representatives(c: int, perms: List[Perm]) -> List[Tuple[Perm, ...]]:
+    """The lex-least c-tuple of each orbit of perms^c under simultaneous
+    conjugation, in lex order; perms must be all of S_d in lex order.
+
+    Orderly generation (Read, "Every one a winner", Ann. Discrete Math. 2,
+    1978): a depth-first search over prefixes that carries the stabilizer S
+    of the prefix, the t with _conj(q, t) == q for every q in it. A prefix
+    is extended by p only if no t in S gives _conj(p, t) < p, and the
+    stabilizer of the longer prefix is the set of t in S with
+    _conj(p, t) == p. This is exact. A lex-least tuple passes every test,
+    since a t in the stabilizer of a prefix that made the next entry smaller
+    would make the whole tuple smaller. Conversely, let a tuple pass every
+    test and take any t. At the first position k where t moves the entry,
+    t lies in the stabilizer of the prefix before k, so it makes the entry
+    at k larger, and with it the tuple: a t outside the stabilizer of a
+    prefix already makes that prefix strictly larger. So the search emits
+    each orbit's lex-least tuple exactly once, and, perms being in lex
+    order, emits them sorted.
+    """
+    reps: List[Tuple[Perm, ...]] = []
+    prefix: List[Perm] = []
+
+    def extend(stabilizer: List[Perm]):
+        if len(prefix) == c:
+            reps.append(tuple(prefix))
+            return
+        for p in perms:
+            fixing = []
+            for t in stabilizer:
+                q = _conj(p, t)
+                if q < p:
+                    break
+                if q == p:
+                    fixing.append(t)
+            else:
+                prefix.append(p)
+                extend(fixing)
+                prefix.pop()
+
+    extend(perms)
+    return reps
+
+
 def enumerate_covers(G: BranchGraph, degree: int) -> List[GraphCover]:
     """All degree-d covers up to fiber relabeling.
 
     One cover per orbit of permutation assignments on the non-tree edges
     under simultaneous conjugation; tree edges and cusp edges lift as
-    identity sheets. Output order is canonical.
+    identity sheets. Output order is canonical: the lex-least assignment of
+    each orbit, in lex order.
+
+    Everything but the chord edges of the total graph is the same for every
+    cover, so the vertex, edge and branch maps and the lifted tree and cusp
+    edges are built once as a template; each cover copies the template and
+    fills in its chords, then is built and validated in full.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
     tree = G.spanning_tree()
     chords = [e for e in G.real_edges() if e not in tree]
-    allp = _perms(degree)
-    seen: Set[Tuple[Perm, ...]] = set()
-    reps: List[Tuple[Perm, ...]] = []
-    for assignment in itertools.product(allp, repeat=len(chords)):
-        canon = min(
-            tuple(_conj(p, t) for p in assignment) for t in allp
-        )
-        if canon not in seen:
-            seen.add(canon)
-            reps.append(canon)
-    reps.sort()
+    reps = _orbit_representatives(len(chords), _perms(degree))
+    sheets = range(degree)
+    vertices = [_encode(v, i) for v in G.vertices for i in sheets]
+    vertex_map = {_encode(v, i): v for v in G.vertices for i in sheets}
+    fixed_edges: Dict[str, Tuple] = {}
+    edge_map: Dict[str, str] = {}
+    branch_map: Dict[Branch, Branch] = {}
+    chord_set = set(chords)
+    for e in sorted(G.edges):
+        ends = G.edges[e]
+        for i in sheets:
+            te = _encode(e, i)
+            if e not in chord_set:
+                fixed_edges[te] = tuple(_encode(v, i) for v in ends)
+            for slot in range(len(ends)):
+                branch_map[(te, slot)] = (e, slot)
+            edge_map[te] = e
+    # per chord: the sheet names of the edge and of its two end vertices
+    chord_names = []
+    for e in chords:
+        u, w = G.edges[e]
+        chord_names.append((
+            [_encode(e, i) for i in sheets],
+            [_encode(u, i) for i in sheets],
+            [_encode(w, j) for j in sheets],
+        ))
+    base_connected = G.is_connected()
     covers = []
     for assignment in reps:
-        sigma = dict(zip(chords, assignment))
-        vertices = [_encode(v, i) for v in G.vertices for i in range(degree)]
-        edges: Dict[str, Tuple] = {}
-        edge_map: Dict[str, str] = {}
-        branch_map: Dict[Branch, Branch] = {}
-        vertex_map = {
-            _encode(v, i): v for v in G.vertices for i in range(degree)
-        }
-        for e in sorted(G.edges):
-            ends = G.edges[e]
-            for i in range(degree):
-                te = _encode(e, i)
-                if len(ends) == 1:
-                    edges[te] = (_encode(ends[0], i),)
-                    branch_map[(te, 0)] = (e, 0)
-                else:
-                    u, w = ends
-                    j = sigma[e][i] if e in sigma else i
-                    edges[te] = (_encode(u, i), _encode(w, j))
-                    branch_map[(te, 0)] = (e, 0)
-                    branch_map[(te, 1)] = (e, 1)
-                edge_map[te] = e
-        total = BranchGraph(vertices, edges)
-        perm_group_transitive = _transitive(assignment, degree)
+        edges = dict(fixed_edges)
+        for p, (tes, us, ws) in zip(assignment, chord_names):
+            for i in sheets:
+                edges[tes[i]] = (us[i], ws[p[i]])
         cover = GraphCover(
             base=G,
-            total=total,
-            vertex_map=vertex_map,
-            edge_map=edge_map,
-            branch_map=branch_map,
+            total=BranchGraph(vertices, edges),
+            vertex_map=dict(vertex_map),
+            edge_map=dict(edge_map),
+            branch_map=dict(branch_map),
             assignment=assignment,
-            connected=G.is_connected() and perm_group_transitive,
+            connected=base_connected and _transitive(assignment, degree),
         )
         cover.validate()
         covers.append(cover)

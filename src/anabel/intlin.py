@@ -66,13 +66,6 @@ class IntMatrix:
     def to_rows(self):
         return [list(self.row(i)) for i in range(self.rows)]
 
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(
-            self.cols,
-            self.rows,
-            [self[i, j] for j in range(self.cols) for i in range(self.rows)],
-        )
-
     def __mul__(self, other: "IntMatrix") -> "IntMatrix":
         if self.cols != other.rows:
             raise ValueError("dimension mismatch in product")

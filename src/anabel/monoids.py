@@ -354,14 +354,6 @@ class MonoidMorphism:
                     f"morphism does not map generator {g} into the target monoid"
                 )
 
-    @classmethod
-    def unchecked(cls, source, target, matrix):
-        obj = cls.__new__(cls)
-        obj.source = source
-        obj.target = target
-        obj.matrix = tuple(tuple(int(c) for c in row) for row in matrix)
-        return obj
-
     def apply(self, x: Sequence[int]) -> Vec:
         return tuple(sum(r[j] * x[j] for j in range(self.source.dim)) for r in self.matrix)
 

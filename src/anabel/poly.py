@@ -47,10 +47,6 @@ def index_dim(n: PolyIndex) -> int:
     return 0 if n == (0,) else sum(n)
 
 
-def index_width(n: PolyIndex) -> int:
-    return len(n) - 1
-
-
 @lru_cache(maxsize=None)
 def points(n: PolyIndex) -> Tuple[Point, ...]:
     return tuple(itertools.product(*[range(x + 1) for x in n]))
@@ -447,12 +443,6 @@ class PolysimplicialSet:
             self.validate()
 
     # -- basic accessors -----------------------------------------------------
-
-    def index_of(self, cell: str) -> PolyIndex:
-        return self.cells[cell]
-
-    def cell_ids(self) -> List[str]:
-        return sorted(self.cells)
 
     def dim(self) -> int:
         return max((index_dim(n) for n in self.cells.values()), default=0)

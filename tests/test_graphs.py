@@ -7,7 +7,13 @@ import pytest
 from anabel.graphs import (
     BranchGraph,
     GeneralizedMorphism,
+    GraphCover,
     MetricGraph,
+    _conj,
+    _encode,
+    _orbit_representatives,
+    _perms,
+    _transitive,
     compose_generalized,
     cycle_sums,
     enumerate_covers,
@@ -283,3 +289,308 @@ def test_double_collapse_composes():
     comp = compose_generalized(phi2, phi1)
     assert comp.edge_map == {"e1": ("vertex", "z"), "e2": ("vertex", "z")}
     assert not comp.is_true_morphism()
+
+
+# -- covers against the canonicalize-every-assignment enumeration -------------------
+
+
+def _reference_enumerate_covers(G, degree):
+    """enumerate_covers as it was before the orderly orbit search: every
+    assignment is canonicalized by all d! conjugations, and every cover is
+    built from scratch."""
+    import itertools
+
+    if degree < 1:
+        raise ValueError("degree must be >= 1")
+    tree = G.spanning_tree()
+    chords = [e for e in G.real_edges() if e not in tree]
+    allp = _perms(degree)
+    seen = set()
+    reps = []
+    for assignment in itertools.product(allp, repeat=len(chords)):
+        canon = min(
+            tuple(_conj(p, t) for p in assignment) for t in allp
+        )
+        if canon not in seen:
+            seen.add(canon)
+            reps.append(canon)
+    reps.sort()
+    covers = []
+    for assignment in reps:
+        sigma = dict(zip(chords, assignment))
+        vertices = [_encode(v, i) for v in G.vertices for i in range(degree)]
+        edges = {}
+        edge_map = {}
+        branch_map = {}
+        vertex_map = {
+            _encode(v, i): v for v in G.vertices for i in range(degree)
+        }
+        for e in sorted(G.edges):
+            ends = G.edges[e]
+            for i in range(degree):
+                te = _encode(e, i)
+                if len(ends) == 1:
+                    edges[te] = (_encode(ends[0], i),)
+                    branch_map[(te, 0)] = (e, 0)
+                else:
+                    u, w = ends
+                    j = sigma[e][i] if e in sigma else i
+                    edges[te] = (_encode(u, i), _encode(w, j))
+                    branch_map[(te, 0)] = (e, 0)
+                    branch_map[(te, 1)] = (e, 1)
+                edge_map[te] = e
+        total = BranchGraph(vertices, edges)
+        perm_group_transitive = _transitive(assignment, degree)
+        cover = GraphCover(
+            base=G,
+            total=total,
+            vertex_map=vertex_map,
+            edge_map=edge_map,
+            branch_map=branch_map,
+            assignment=assignment,
+            connected=G.is_connected() and perm_group_transitive,
+        )
+        cover.validate()
+        covers.append(cover)
+    return covers
+
+
+def _reference_validate(cover):
+    """GraphCover.validate as it was before it read the edge tables directly."""
+    for b, img in cover.branch_map.items():
+        if cover.vertex_map[cover.total.psi(b)] != cover.base.psi(img):
+            raise ValueError(f"branch {b} does not commute with psi")
+        pb = cover.total.iota(b)
+        if pb is not None:
+            if cover.base.iota(img) != cover.branch_map[pb]:
+                raise ValueError(f"branch {b} breaks the involution")
+    for tv in cover.total.vertices:
+        local = sorted(cover.branch_map[b] for b in cover.total.branches_at(tv))
+        base_local = sorted(cover.base.branches_at(cover.vertex_map[tv]))
+        if local != base_local:
+            raise ValueError(
+                f"projection is not branch-locally bijective at {tv}"
+            )
+    cover.degree()
+    return cover
+
+
+def _reference_simple_cycles(G):
+    """simple_cycles as it was before the shared push-and-pop path."""
+    cycles = set()
+    incident = {v: [] for v in G.vertices}
+    for e in G.real_edges():
+        u, w = G.edges[e]
+        if u == w:
+            cycles.add(frozenset([e]))
+        else:
+            incident[u].append((e, w))
+            incident[w].append((e, u))
+
+    def extend(start, current, used_edges, visited):
+        for e, w in incident[current]:
+            if e in used_edges:
+                continue
+            if w == start and len(used_edges) >= 1:
+                cycles.add(frozenset(used_edges | {e}))
+            elif w not in visited and w > start:
+                extend(start, w, used_edges | {e}, visited | {w})
+
+    for s in G.vertices:
+        extend(s, s, frozenset(), frozenset({s}))
+    return sorted(cycles, key=lambda c: (len(c), tuple(sorted(c))))
+
+
+def bouquet(c):
+    return BranchGraph(["v"], {f"l{k}": ("v", "v") for k in range(c)})
+
+
+def _cubic_graph(rank, rng):
+    """A random connected cubic multigraph (loops allowed) of the given cycle rank."""
+    nv = 2 * (rank - 1)
+    vs = [f"v{i}" for i in range(nv)]
+    while True:
+        stubs = [v for v in range(nv) for _ in range(3)]
+        rng.shuffle(stubs)
+        edges = {f"e{i}": (vs[stubs[2 * i]], vs[stubs[2 * i + 1]]) for i in range(3 * nv // 2)}
+        G = BranchGraph(vs, edges)
+        if G.is_connected():
+            return G
+
+
+def _cover_cases():
+    cases = [(f"bouquet{c}", bouquet(c), d) for c in (1, 2, 3, 4) for d in (1, 2, 3)]
+    cases += [(f"bouquet{c}", bouquet(c), 4) for c in (2, 3)]
+    cases += [("bouquet2", bouquet(2), 5)]
+    cases += [("theta", theta(), d) for d in (1, 2, 3, 4)]
+    cases += [("loop_with_cusp", loop_with_cusp(), d) for d in (1, 2, 3, 4)]
+    rng = random.Random(SEED)
+    for k, rank in enumerate((2, 3, 3, 4)):
+        G = _cubic_graph(rank, rng)
+        cases += [(f"cubic{k}-rank{rank}", G, d) for d in (1, 2, 3)]
+    return cases
+
+
+def _cover_fields(cover):
+    return (
+        cover.assignment,
+        cover.connected,
+        cover.total.vertices,
+        list(cover.total.edges.items()),
+        list(cover.vertex_map.items()),
+        list(cover.edge_map.items()),
+        list(cover.branch_map.items()),
+    )
+
+
+@pytest.mark.parametrize("case", range(len(_cover_cases())),
+                         ids=[f"{name}-d{d}" for name, _, d in _cover_cases()])
+def test_enumerate_covers_matches_reference(case):
+    name, G, d = _cover_cases()[case]
+    got = enumerate_covers(G, d)
+    want = _reference_enumerate_covers(G, d)
+    assert len(got) == len(want)
+    for a, b in zip(got, want):
+        assert a.base is G
+        assert _cover_fields(a) == _cover_fields(b)
+
+
+def test_covers_own_their_maps():
+    # writing to one cover's maps leaves the next one alone
+    first, second = enumerate_covers(theta(), 2)[:2]
+    first.vertex_map["u@0"] = "v"
+    first.edge_map["a@0"] = "b"
+    first.branch_map[("a@0", 0)] = ("b", 0)
+    assert second.vertex_map["u@0"] == "u"
+    assert second.edge_map["a@0"] == "a"
+    assert second.branch_map[("a@0", 0)] == ("a", 0)
+
+
+def _burnside_orbit_count(c, d):
+    """(1/d!) * sum over t in S_d of |centralizer(t)|^c, by brute force."""
+    import itertools
+    from math import factorial
+
+    group = list(itertools.permutations(range(d)))
+    total = 0
+    for t in group:
+        commuting = sum(
+            1 for s in group if all(t[s[i]] == s[t[i]] for i in range(d))
+        )
+        total += commuting ** c
+    assert total % factorial(d) == 0
+    return total // factorial(d)
+
+
+@pytest.mark.parametrize("c,d", [(c, d) for c in (0, 1, 2, 3) for d in (1, 2, 3, 4, 5)])
+def test_orbit_representatives_burnside_count(c, d):
+    perms = _perms(d)
+    reps = _orbit_representatives(c, perms)
+    assert len(reps) == _burnside_orbit_count(c, d)
+    assert reps == sorted(set(reps))
+    if len(perms) ** c * len(perms) <= 50_000:
+        # each representative is the least tuple of its orbit
+        for rep in reps:
+            assert all(tuple(_conj(p, t) for p in rep) >= rep for t in perms)
+
+
+def test_burnside_count_matches_known_values():
+    # conjugacy classes of S_d are the partitions of d
+    assert [_burnside_orbit_count(1, d) for d in range(1, 6)] == [1, 2, 3, 5, 7]
+    # the 49 covers of covers_bouquet3.txt and the 14,721 orbits for (3, 5)
+    assert _burnside_orbit_count(3, 3) == 49
+    assert _burnside_orbit_count(3, 5) == 14_721
+
+
+def _verdict(check, cover):
+    try:
+        check(cover)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+    except KeyError as exc:
+        return ("KeyError", repr(exc))
+    return ("ok", None)
+
+
+def _corrupt(cover, vertex_map=None, branch_map=None):
+    return GraphCover(
+        base=cover.base,
+        total=cover.total,
+        vertex_map=dict(cover.vertex_map if vertex_map is None else vertex_map),
+        edge_map=dict(cover.edge_map),
+        branch_map=dict(cover.branch_map if branch_map is None else branch_map),
+        assignment=cover.assignment,
+        connected=cover.connected,
+    )
+
+
+def test_validate_matches_reference_on_named_corruptions():
+    cover = enumerate_covers(theta(), 2)[1]
+    assert _verdict(GraphCover.validate, cover) == _verdict(_reference_validate, cover)
+    assert _verdict(GraphCover.validate, cover) == ("ok", None)
+    corrupted = []
+    # a branch mapped over the wrong vertex
+    bm = dict(cover.branch_map)
+    bm[("a@0", 0)] = ("a", 1)
+    corrupted.append(("does not commute with psi", _corrupt(cover, branch_map=bm)))
+    # a broken involution: the other end of a@0 is sent to b
+    bm = dict(cover.branch_map)
+    bm[("a@0", 1)] = ("b", 1)
+    corrupted.append(("breaks the involution", _corrupt(cover, branch_map=bm)))
+    # two branches at one vertex with the same image: all of b@0 is sent to a
+    bm = dict(cover.branch_map)
+    bm[("b@0", 0)] = ("a", 0)
+    bm[("b@0", 1)] = ("a", 1)
+    corrupted.append(("branch-locally bijective", _corrupt(cover, branch_map=bm)))
+    # an unequal fiber over an isolated base vertex
+    base = BranchGraph(["u", "x"], {"l": ("u", "u")})
+    total = BranchGraph(["u@0", "x@0", "x@1"], {"l@0": ("u@0", "u@0")})
+    uneven = GraphCover(
+        base, total, {"u@0": "u", "x@0": "x", "x@1": "x"}, {"l@0": "l"},
+        {("l@0", 0): ("l", 0), ("l@0", 1): ("l", 1)},
+    )
+    corrupted.append(("fiber cardinality", uneven))
+    for fragment, bad in corrupted:
+        got = _verdict(GraphCover.validate, bad)
+        assert got == _verdict(_reference_validate, bad)
+        assert got[0] == "ValueError" and fragment in got[1], got
+
+
+def test_validate_matches_reference_on_random_corruptions():
+    rng = random.Random(SEED)
+    verdicts = set()
+    for name, G, d in _cover_cases():
+        if d > 3:
+            continue
+        base_branches = G.branches()
+        for cover in enumerate_covers(G, d)[:6]:
+            assert _verdict(GraphCover.validate, cover) == ("ok", None)
+            assert _reference_validate(cover) is cover
+            for _ in range(4):
+                bm = dict(cover.branch_map)
+                vm = dict(cover.vertex_map)
+                for _ in range(rng.randint(1, 2)):
+                    if rng.random() < 0.7:
+                        bm[rng.choice(sorted(bm))] = rng.choice(base_branches)
+                    else:
+                        vm[rng.choice(sorted(vm))] = rng.choice(G.vertices)
+                bad = _corrupt(cover, vertex_map=vm, branch_map=bm)
+                got = _verdict(GraphCover.validate, bad)
+                assert got == _verdict(_reference_validate, bad), (name, d)
+                checks = ("psi", "involution", "locally bijective", "fiber")
+                verdicts |= {c for c in checks if c in (got[1] or "")} or {got[0]}
+    # the corruptions reach every check but the fibers, and some pass
+    assert verdicts == {"ok", "psi", "involution", "locally bijective"}, verdicts
+
+
+def test_simple_cycles_matches_reference():
+    for name, G, d in _cover_cases():
+        if d > 3:
+            continue
+        assert G.simple_cycles() == _reference_simple_cycles(G)
+        for cover in enumerate_covers(G, d)[:8]:
+            assert cover.total.simple_cycles() == _reference_simple_cycles(cover.total), (name, d)
+    rng = random.Random(SEED)
+    for _ in range(300):
+        G = _random_branch_graph(rng)
+        assert G.simple_cycles() == _reference_simple_cycles(G)
