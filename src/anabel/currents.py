@@ -115,16 +115,10 @@ def current_group(
     else:
         group = solution_group_mod(M, modulus)
     basis = []
-    for comp in G.components():
-        sub_edges = {e: ends for e, ends in G.edges.items() if set(ends) <= comp}
-        sub = BranchGraph(sorted(comp), sub_edges)
-        tree = sub.spanning_tree()
-        for e in sub.real_edges():
-            if e in tree:
-                continue
-            u, w = sub.edges[e]
-            path = sub.tree_path(tree, w, u) + [(e, +1)]
-            basis.append(path_current(G, path, closed=True).current)
+    for e in G.chords():
+        u, w = G.edges[e]
+        path = G.tree_path(w, u) + [(e, +1)]
+        basis.append(path_current(G, path, closed=True).current)
     if modulus:
         basis = [c.reduce_mod(modulus) for c in basis]
     return group, basis

@@ -12,7 +12,7 @@ import itertools
 from dataclasses import dataclass
 from functools import cached_property
 from operator import itemgetter
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, Sequence, Set, Tuple
 
 from .graphs import Branch, BranchGraph
 from .intlin import FgAbGroup, IntMatrix, cokernel_group
@@ -24,7 +24,7 @@ Perm = Tuple[int, ...]
 class FiniteGroup:
     """Multiplication table group; identity normalized to element 0."""
 
-    def __init__(self, table: Sequence[Sequence[int]], check: bool = True):
+    def __init__(self, table: Sequence[Sequence[int]]):
         self.table: Tuple[Tuple[int, ...], ...] = tuple(
             tuple(int(x) for x in row) for row in table
         )
@@ -34,8 +34,7 @@ class FiniteGroup:
             raise ValueError("table is not square")
         if any(x < 0 or x >= n for r in self.table for x in r):
             raise ValueError("table entries out of range")
-        if check:
-            self._validate()
+        self._validate()
         self.inverse = tuple(
             next(b for b in range(n) if self.table[a][b] == 0) for a in range(n)
         )
@@ -303,9 +302,7 @@ def _vertex_symbols(gog: GraphOfFiniteGroups) -> Dict[Tuple[str, int], int]:
     return symbols
 
 
-def pi1_presentation(
-    gog: GraphOfFiniteGroups, tree: Optional[Set[str]] = None
-) -> GroupPresentation:
+def pi1_presentation(gog: GraphOfFiniteGroups) -> GroupPresentation:
     """Presentation of the fundamental group over a spanning tree.
 
     Generators: one symbol per non-tree edge and one per nontrivial
@@ -316,8 +313,7 @@ def pi1_presentation(
     G = gog.graph
     if not G.is_connected():
         raise ValueError("graph of groups must be connected")
-    if tree is None:
-        tree = G.spanning_tree()
+    tree = G.spanning_tree()
     symbols = _vertex_symbols(gog)
     nv = len(symbols)
     chords = [e for e in G.real_edges() if e not in tree]

@@ -11,10 +11,12 @@ found by canonicalizing every assignment.
 
 from __future__ import annotations
 
+import heapq
 import itertools
 from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import Dict, FrozenSet, List, Optional, Sequence, Set, Tuple
+from functools import cached_property
+from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
 
 Branch = Tuple[str, int]
 
@@ -77,100 +79,101 @@ class BranchGraph:
 
     # -- connectivity --------------------------------------------------------
 
-    def components(self) -> List[Set[str]]:
-        seen: Set[str] = set()
-        comps = []
-        adj: Dict[str, Set[str]] = {v: set() for v in self.vertices}
-        for e in self.real_edges():
-            u, w = self.edges[e]
-            adj[u].add(w)
-            adj[w].add(u)
-        for v in self.vertices:
-            if v in seen:
+    @cached_property
+    def _forest(self) -> Tuple[Dict[str, str], Dict[str, Tuple[str, str, int]]]:
+        """Breadth-first spanning forest over the real edges: each vertex's
+        root, and each non-root vertex's (parent, edge, direction), where
+        direction +1 means the edge runs parent -> child from slot 0 to slot 1.
+
+        Each tree grows from the lowest vertex id not yet reached, one level
+        at a time; a level's vertices are visited in sorted order and each
+        vertex's edges in edge-id order, so the root of a component is its
+        lowest vertex.
+        """
+        roots: Dict[str, str] = {}
+        parent: Dict[str, Tuple[str, str, int]] = {}
+        for r in self.vertices:
+            if r in roots:
                 continue
-            comp = {v}
-            stack = [v]
-            while stack:
-                u = stack.pop()
-                for w in adj[u]:
-                    if w not in comp:
-                        comp.add(w)
-                        stack.append(w)
-            seen |= comp
-            comps.append(comp)
-        return comps
+            roots[r] = r
+            level = [r]
+            while level:
+                nxt = []
+                for v in sorted(level):
+                    for e, slot in self._branches_at[v]:
+                        # the other end; a cusp gives v itself
+                        w = self.edges[e][slot - 1]
+                        if w not in roots:
+                            roots[w] = r
+                            parent[w] = (v, e, 1 - 2 * slot)
+                            nxt.append(w)
+                level = nxt
+        return roots, parent
+
+    def components(self) -> List[Set[str]]:
+        """Vertex sets of the connected components, ordered by lowest vertex."""
+        comps: Dict[str, Set[str]] = {}
+        for v, r in self._forest[0].items():
+            comps.setdefault(r, set()).add(v)
+        return list(comps.values())
 
     def is_connected(self) -> bool:
-        return len(self.components()) <= 1
+        # every vertex but the roots has a parent, one root per component
+        return len(self.vertices) - len(self._forest[1]) <= 1
 
     def cycle_rank(self) -> int:
         """|real edges| - |V| + number of components; cusps carry no cycle."""
-        return len(self.real_edges()) - len(self.vertices) + len(self.components())
+        return len(self.real_edges()) - len(self._forest[1])
 
     def spanning_tree(self) -> Set[str]:
-        """BFS tree from the lowest vertex id; requires a connected graph."""
+        """Edges of the spanning forest; requires a connected graph."""
         if not self.is_connected():
             raise ValueError("spanning tree requires a connected graph")
-        if not self.vertices:
-            return set()
-        root = self.vertices[0]
-        seen = {root}
-        tree: Set[str] = set()
-        frontier = [root]
-        incident: Dict[str, List[Tuple[str, str]]] = {v: [] for v in self.vertices}
-        for e in self.real_edges():
-            u, w = self.edges[e]
-            incident[u].append((e, w))
-            incident[w].append((e, u))
-        while frontier:
-            nxt = []
-            for v in sorted(frontier):
-                for e, w in sorted(incident[v]):
-                    if w not in seen:
-                        seen.add(w)
-                        tree.add(e)
-                        nxt.append(w)
-            frontier = nxt
-        return tree
+        return {e for _, e, _ in self._forest[1].values()}
 
-    def tree_path(self, tree: Set[str], u: str, v: str) -> List[Tuple[str, int]]:
-        """Oriented edge path u -> v inside the tree; +1 means slot0 -> slot1."""
-        parent: Dict[str, Optional[Tuple[str, str, int]]] = {u: None}
-        stack = [u]
-        while stack:
-            x = stack.pop()
-            if x == v:
-                break
-            for e in sorted(tree):
-                a, b = self.edges[e]
-                if a == x and b not in parent:
-                    parent[b] = (x, e, +1)
-                    stack.append(b)
-                elif b == x and a not in parent:
-                    parent[a] = (x, e, -1)
-                    stack.append(a)
-        if v not in parent:
+    def chords(self) -> List[str]:
+        """Real edges outside the spanning forest, by component, then by id."""
+        roots, parent = self._forest
+        tree = {e for _, e, _ in parent.values()}
+        return sorted(
+            (e for e in self.real_edges() if e not in tree),
+            key=lambda e: roots[self.edges[e][0]],
+        )
+
+    def tree_path(self, u: str, v: str) -> List[Tuple[str, int]]:
+        """Oriented edge path u -> v inside the spanning forest; +1 means
+        slot0 -> slot1."""
+        roots, parent = self._forest
+        if u not in roots or v not in roots or roots[u] != roots[v]:
             raise ValueError("vertices not connected in tree")
-        path = []
+        # climb from u to its root, then from v until the climbs meet
+        up: List[Tuple[str, int]] = []
+        height = {u: 0}
+        x = u
+        while x in parent:
+            x, e, d = parent[x]
+            up.append((e, -d))
+            height[x] = len(up)
+        down: List[Tuple[str, int]] = []
         x = v
-        while parent[x] is not None:
-            px, e, d = parent[x]
-            path.append((e, d))
-            x = px
-        return list(reversed(path))
+        while x not in height:
+            x, e, d = parent[x]
+            down.append((e, d))
+        return up[: height[x]] + down[::-1]
 
     def simple_cycles(self) -> List[FrozenSet[str]]:
         """Edge sets of all simple cycles (closed walks with no repeated
         vertex or edge); loops count, cusp edges never do."""
-        cycles: Set[FrozenSet[str]] = set()
-        incident: Dict[str, List[Tuple[str, str]]] = {v: [] for v in self.vertices}
-        for e in self.real_edges():
-            u, w = self.edges[e]
-            if u == w:
-                cycles.add(frozenset([e]))
-            else:
-                incident[u].append((e, w))
-                incident[w].append((e, u))
+        # a loop is a cycle by itself; the walk below reads each vertex's
+        # edges to other vertices, with their other ends
+        ends = self.edges
+        cycles: Set[FrozenSet[str]] = {
+            frozenset([e]) for e in self.real_edges() if ends[e][0] == ends[e][1]
+        }
+        incident = {
+            v: [(e, w) for e, slot in bs if (w := ends[e][slot - 1]) != v]
+            for v, bs in self._branches_at.items()
+        }
 
         # the path from start to current: its edges in order, and its vertices.
         # Every used edge has both ends in visited, so only an edge back to
@@ -215,23 +218,29 @@ class MetricGraph(BranchGraph):
 
     def vertex_distances(self, source: str) -> Dict[str, Fraction]:
         """Exact single-source shortest path distances over real edges."""
-        dist = {source: Fraction(0)}
-        todo = {source}
-        while todo:
-            v = min(todo, key=lambda x: (dist[x], x))
-            todo.discard(v)
-            for e in self.real_edges():
-                a, b = self.edges[e]
-                for x, y in ((a, b), (b, a)):
-                    if x == v:
-                        nd = dist[v] + self.lengths[e]
-                        if y not in dist or nd < dist[y]:
-                            dist[y] = nd
-                            todo.add(y)
-        return dist
+        return distances(self, self.lengths, [source])
 
     def cycle_length(self, cycle: FrozenSet[str]) -> Fraction:
         return sum((self.lengths[e] for e in cycle), Fraction(0))
+
+
+def distances(
+    G: BranchGraph, lengths: Dict[str, Fraction], sources: Iterable[str]
+) -> Dict[str, Fraction]:
+    """Exact distance from the nearest source to every vertex reachable over
+    real edges with the given lengths (multi-source Dijkstra)."""
+    dist: Dict[str, Fraction] = {}
+    heap = [(Fraction(0), s) for s in sorted(sources)]  # sorted, so a heap
+    while heap:
+        d, v = heapq.heappop(heap)
+        if v in dist:
+            continue
+        dist[v] = d
+        for e, slot in G._branches_at.get(v, ()):
+            w = G.edges[e][slot - 1]  # a cusp or a loop gives v itself
+            if w not in dist:
+                heapq.heappush(heap, (d + lengths[e], w))
+    return dist
 
 
 # ---------------------------------------------------------------------------
@@ -365,6 +374,8 @@ def enumerate_covers(G: BranchGraph, degree: int) -> List[GraphCover]:
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
+    if not G.vertices:
+        raise ValueError("graph has no vertices, so it has no covers")
     tree = G.spanning_tree()
     chords = [e for e in G.real_edges() if e not in tree]
     reps = _orbit_representatives(len(chords), _perms(degree))
@@ -441,7 +452,7 @@ def cycle_sums(G: BranchGraph, f: Dict[str, Fraction]) -> List[Fraction]:
             continue
         u, w = G.edges[e]
         total = f[e]
-        for pe, _ in G.tree_path(tree, w, u):
+        for pe, _ in G.tree_path(w, u):
             total += f[pe]
         out.append(total)
     return out
@@ -457,6 +468,8 @@ def rigidity_kernel(
     warning, since the kernel is well-defined (if no longer forced to
     vanish) without that hypothesis.
     """
+    if max_degree < 1:
+        raise ValueError("max_degree must be >= 1")
     warnings = []
     if not G.is_connected():
         raise ValueError("rigidity kernel requires a connected graph")

@@ -244,9 +244,11 @@ def detect_metric_mismatch(
     streams max(1, ceil(j lg_i(C) + r_i - 1/(p-1))) are compared, where
     r_i is the distance from z to L; the first disagreement is returned.
     """
-    from .graphs import enumerate_covers, lift_edge_function
+    from .graphs import distances, enumerate_covers, lift_edge_function
 
     _check_prime(p)
+    if max_cover_degree < 1:
+        raise ValueError("max_cover_degree must be >= 1")
     pairs = []
     for d in range(1, max_cover_degree + 1):
         for c1 in enumerate_covers(G1, d):
@@ -257,14 +259,18 @@ def detect_metric_mismatch(
             pairs.append((c1.total, len1, total2, len2, vmap2, emap2))
     for total1, len1, total2, len2, vmap2, emap2 in pairs:
         cycles1 = total1.simple_cycles()
+        # distances from each reference cycle L, in the cover of G1 and
+        # transported to the cover of G2
+        refs = []
+        for ref1 in cycles1:
+            ends1 = {v for e in ref1 for v in total1.edges[e]}
+            refs.append((ref1, distances(total1, len1, ends1),
+                         distances(total2, len2, {vmap2[v] for v in ends1})))
         for cyc1 in cycles1:
             cyc2 = frozenset(emap2[e] for e in cyc1)
             lg1 = sum(len1[e] for e in cyc1)
             lg2 = sum(len2[e] for e in cyc2)
-            for ref1 in cycles1:
-                ref2 = frozenset(emap2[e] for e in ref1)
-                dist1 = _distance_to_cycle(total1, len1, ref1)
-                dist2 = _distance_to_cycle(total2, len2, ref2)
+            for ref1, dist1, dist2 in refs:
                 for z in total1.vertices:
                     if z not in dist1 or vmap2[z] not in dist2:
                         continue
@@ -301,27 +307,6 @@ def _transport_cover(cover, G2: MetricGraph, iso: GraphIsomorphism):
     len2 = {emap2[te]: G2.lengths[iso.edge_map[cover.edge_map[te]]]
             for te in cover.total.edges}
     return total2, len2, vmap2, emap2
-
-
-def _distance_to_cycle(G: BranchGraph, lengths, cycle) -> Dict[str, Fraction]:
-    cycle_vertices = set()
-    for e in cycle:
-        cycle_vertices.update(G.edges[e])
-    dist: Dict[str, Fraction] = {v: Fraction(0) for v in cycle_vertices}
-    todo = set(cycle_vertices)
-    while todo:
-        v = min(todo, key=lambda x: (dist[x], x))
-        todo.discard(v)
-        for e, ends in G.edges.items():
-            if len(ends) != 2:
-                continue
-            for x, y in (ends, ends[::-1]):
-                if x == v:
-                    nd = dist[v] + lengths[e]
-                    if y not in dist or nd < dist[y]:
-                        dist[y] = nd
-                        todo.add(y)
-    return dist
 
 
 def _scan_bound(lg1, lg2, r1, r2) -> int:

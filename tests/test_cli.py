@@ -111,6 +111,29 @@ def test_rigidity_exit_code_on_nontrivial_kernel(tmp_path):
     assert "warning" in proc.stdout
 
 
+def test_rigidity_degree_zero_is_rejected():
+    proc = run_cli([
+        "verify-rigidity", "--input", str(DATA / "theta.graph"), "--max-degree", "0",
+    ])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "input error: max_degree must be >= 1\n"
+
+
+@pytest.mark.parametrize("command", ["cover-enum", "verify-rigidity"])
+def test_graph_without_vertices_has_no_covers(tmp_path, command):
+    doc = tmp_path / "empty.graph"
+    doc.write_text("kind = graph\nvertices =\n")
+    proc = run_cli([command, "--input", str(doc)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "input error: graph has no vertices, so it has no covers\n"
+    # its current group is still the trivial group
+    proc = run_cli(["current-group", "--input", str(doc)])
+    assert proc.returncode == 0
+    assert proc.stdout == "current group = 0\nbasis currents = 0\n"
+
+
 @pytest.mark.parametrize("old,new", [("alpha 1 =", "alpha ="), ("g 1 0 = 0", "g 1 =")])
 def test_malformed_extension_exit_code(tmp_path, old, new):
     doc = tmp_path / "bad.extension"

@@ -16,6 +16,7 @@ from anabel.graphs import (
     _transitive,
     compose_generalized,
     cycle_sums,
+    distances,
     enumerate_covers,
     lift_edge_function,
     rigidity_kernel,
@@ -594,3 +595,265 @@ def test_simple_cycles_matches_reference():
     for _ in range(300):
         G = _random_branch_graph(rng)
         assert G.simple_cycles() == _reference_simple_cycles(G)
+
+
+# -- traversals against the walks that the spanning forest replaced ------------------
+
+
+def _reference_components(G):
+    """components as it was before the spanning forest."""
+    seen = set()
+    comps = []
+    adj = {v: set() for v in G.vertices}
+    for e in G.real_edges():
+        u, w = G.edges[e]
+        adj[u].add(w)
+        adj[w].add(u)
+    for v in G.vertices:
+        if v in seen:
+            continue
+        comp = {v}
+        stack = [v]
+        while stack:
+            u = stack.pop()
+            for w in adj[u]:
+                if w not in comp:
+                    comp.add(w)
+                    stack.append(w)
+        seen |= comp
+        comps.append(comp)
+    return comps
+
+
+def _reference_spanning_tree(G):
+    """spanning_tree as it was before the spanning forest."""
+    if len(_reference_components(G)) > 1:
+        raise ValueError("spanning tree requires a connected graph")
+    if not G.vertices:
+        return set()
+    root = G.vertices[0]
+    seen = {root}
+    tree = set()
+    frontier = [root]
+    incident = {v: [] for v in G.vertices}
+    for e in G.real_edges():
+        u, w = G.edges[e]
+        incident[u].append((e, w))
+        incident[w].append((e, u))
+    while frontier:
+        nxt = []
+        for v in sorted(frontier):
+            for e, w in sorted(incident[v]):
+                if w not in seen:
+                    seen.add(w)
+                    tree.add(e)
+                    nxt.append(w)
+        frontier = nxt
+    return tree
+
+
+def _reference_tree_path(G, tree, u, v):
+    """tree_path as it was before the spanning forest: a search of the tree."""
+    parent = {u: None}
+    stack = [u]
+    while stack:
+        x = stack.pop()
+        if x == v:
+            break
+        for e in sorted(tree):
+            a, b = G.edges[e]
+            if a == x and b not in parent:
+                parent[b] = (x, e, +1)
+                stack.append(b)
+            elif b == x and a not in parent:
+                parent[a] = (x, e, -1)
+                stack.append(a)
+    if v not in parent:
+        raise ValueError("vertices not connected in tree")
+    path = []
+    x = v
+    while parent[x] is not None:
+        px, e, d = parent[x]
+        path.append((e, d))
+        x = px
+    return list(reversed(path))
+
+
+def _reference_vertex_distances(G, source):
+    """MetricGraph.vertex_distances as it was before graphs.distances."""
+    dist = {source: Fraction(0)}
+    todo = {source}
+    while todo:
+        v = min(todo, key=lambda x: (dist[x], x))
+        todo.discard(v)
+        for e in G.real_edges():
+            a, b = G.edges[e]
+            for x, y in ((a, b), (b, a)):
+                if x == v:
+                    nd = dist[v] + G.lengths[e]
+                    if y not in dist or nd < dist[y]:
+                        dist[y] = nd
+                        todo.add(y)
+    return dist
+
+
+def _reference_distance_to_cycle(G, lengths, cycle):
+    """splitting._distance_to_cycle as it was before graphs.distances."""
+    cycle_vertices = set()
+    for e in cycle:
+        cycle_vertices.update(G.edges[e])
+    dist = {v: Fraction(0) for v in cycle_vertices}
+    todo = set(cycle_vertices)
+    while todo:
+        v = min(todo, key=lambda x: (dist[x], x))
+        todo.discard(v)
+        for e, ends in G.edges.items():
+            if len(ends) != 2:
+                continue
+            for x, y in (ends, ends[::-1]):
+                if x == v:
+                    nd = dist[v] + lengths[e]
+                    if y not in dist or nd < dist[y]:
+                        dist[y] = nd
+                        todo.add(y)
+    return dist
+
+
+def _reference_current_basis(G):
+    """The basis loop of current_group as it was before the spanning forest:
+    one sub-graph and one tree per component."""
+    from anabel.currents import path_current
+
+    basis = []
+    for comp in _reference_components(G):
+        sub_edges = {e: ends for e, ends in G.edges.items() if set(ends) <= comp}
+        sub = BranchGraph(sorted(comp), sub_edges)
+        tree = _reference_spanning_tree(sub)
+        for e in sub.real_edges():
+            if e in tree:
+                continue
+            u, w = sub.edges[e]
+            path = _reference_tree_path(sub, tree, w, u) + [(e, +1)]
+            basis.append(path_current(G, path, closed=True).current)
+    return basis
+
+
+def _random_multigraph(rng):
+    """A metric multigraph of 1-3 components, each grown from a random tree
+    and given extra loops, parallel edges and cusps; a component may be an
+    isolated vertex. Vertex ids are chosen so that string order differs from
+    the order of growth."""
+    names = rng.sample([f"v{i}" for i in range(30)], rng.randint(1, 9))
+    cuts = sorted(rng.sample(range(1, len(names)), min(len(names) - 1, rng.randint(0, 2))))
+    parts = [names[a:b] for a, b in zip([0] + cuts, cuts + [len(names)])]
+    edge_ids = iter(rng.sample(range(100), 60))
+    edges = {}
+    for part in parts:
+        for i in range(1, len(part)):
+            edges[f"e{next(edge_ids)}"] = (part[rng.randrange(i)], part[i])
+        for _ in range(rng.randint(0, 4)):
+            u = rng.choice(part)
+            kind = rng.random()
+            if kind < 0.25:
+                edges[f"e{next(edge_ids)}"] = (u,)
+            elif kind < 0.45:
+                edges[f"e{next(edge_ids)}"] = (u, u)
+            else:
+                w = rng.choice(part)
+                edges[f"e{next(edge_ids)}"] = rng.choice([(u, w), (w, u)])
+        if rng.random() < 0.3 and len(part) > 1:
+            # two more edges parallel to the first tree edge, one reversed
+            u, w = part[0], part[1]
+            edges[f"e{next(edge_ids)}"] = (u, w)
+            edges[f"e{next(edge_ids)}"] = (w, u)
+    lengths = {e: Fraction(rng.randint(1, 6), rng.randint(1, 3)) for e in edges}
+    return MetricGraph(names, edges, lengths), len(parts)
+
+
+def _outcome(f, *args):
+    try:
+        return f(*args)
+    except ValueError as exc:
+        return ("ValueError", str(exc))
+
+
+def test_traversals_match_reference():
+    rng = random.Random(SEED)
+    seen_parts = set()
+    for _ in range(300):
+        G, parts = _random_multigraph(rng)
+        seen_parts.add(parts)
+        comps = _reference_components(G)
+        assert G.components() == comps
+        assert len(comps) == parts
+        assert G.is_connected() == (len(comps) <= 1)
+        assert G.cycle_rank() == len(G.real_edges()) - len(G.vertices) + len(comps)
+        assert _outcome(G.spanning_tree) == _outcome(_reference_spanning_tree, G)
+        for comp in comps:
+            sub = BranchGraph(sorted(comp), {
+                e: ends for e, ends in G.edges.items() if set(ends) <= comp
+            })
+            tree = _reference_spanning_tree(sub)
+            for u in sorted(comp):
+                for v in sorted(comp):
+                    assert G.tree_path(u, v) == _reference_tree_path(sub, tree, u, v)
+        if len(comps) > 1:
+            u, v = min(comps[0]), min(comps[1])
+            with pytest.raises(ValueError, match="not connected in tree"):
+                G.tree_path(u, v)
+        for v in G.vertices:
+            assert G.vertex_distances(v) == _reference_vertex_distances(G, v)
+        for cycle in G.simple_cycles():
+            ends = {v for e in cycle for v in G.edges[e]}
+            assert distances(G, G.lengths, ends) == _reference_distance_to_cycle(
+                G, G.lengths, cycle
+            )
+        assert G.simple_cycles() == _reference_simple_cycles(G)
+    assert seen_parts == {1, 2, 3}
+
+
+def _current_cases():
+    rng = random.Random(SEED)
+    cases = [_random_multigraph(rng)[0] for _ in range(300)]
+    # two components whose order (by lowest vertex) is not the order of
+    # their edge ids, plus an isolated vertex
+    cases.append(BranchGraph(["a", "b", "x", "y", "z"], {
+        "z1": ("a", "b"), "z2": ("b", "a"), "c1": ("x", "y"), "c2": ("x", "y"),
+        "c3": ("y",),
+    }))
+    return cases
+
+
+def test_current_group_basis_matches_reference():
+    from anabel.currents import current_group
+
+    cases = _current_cases()
+    for G in cases:
+        want = _reference_current_basis(G)
+        assert current_group(G)[1] == want
+        for n in (2, 6):
+            assert current_group(G, n)[1] == [c.reduce_mod(n) for c in want]
+    # the basis runs by component, then by chord: z2 before c2
+    _, basis = current_group(cases[-1])
+    assert [sorted({e for (e, _), x in c.values.items() if x}) for c in basis] == [
+        ["z1", "z2"], ["c1", "c2"],
+    ]
+
+
+def test_degree_zero_certifies_nothing():
+    # with no cover tested, the whole edge space and "no witness" would read
+    # as results, so a degree below 1 is rejected
+    from anabel.splitting import GraphIsomorphism, detect_metric_mismatch
+
+    with pytest.raises(ValueError, match="max_degree must be >= 1"):
+        rigidity_kernel(theta(), 0)
+    G1 = MetricGraph(["u", "v"], {"a": ("u", "v"), "b": ("u", "v")},
+                     {"a": Fraction(1), "b": Fraction(1)})
+    G2 = MetricGraph(["u", "v"], {"a": ("u", "v"), "b": ("u", "v")},
+                     {"a": Fraction(1), "b": Fraction(5)})
+    iso = GraphIsomorphism(G1, G2, {"u": "u", "v": "v"}, {"a": "a", "b": "b"})
+    assert detect_metric_mismatch(G1, G2, iso, 2, max_cover_degree=1) is not None
+    with pytest.raises(ValueError, match="max_cover_degree must be >= 1"):
+        detect_metric_mismatch(G1, G2, iso, 2, max_cover_degree=0)
+    with pytest.raises(ValueError, match="no vertices"):
+        enumerate_covers(BranchGraph([], {}), 1)

@@ -13,6 +13,7 @@ import pytest
 from anabel.poly import (
     Element,
     PolysimplicialSet,
+    _generators_into,
     automorphisms,
     box_product,
     compose,
@@ -430,3 +431,43 @@ def test_cospec_polysimplicial_on_targets_with_stabilizers():
     # of the circle is
     with pytest.raises(ValueError, match="no morphism realizes"):
         cospec_polysimplicial(fold, circle, {"q0": "q0", "q1": "q1"})
+
+
+def _natural_on(m, injections):
+    """Stabilizer invariance, and naturality along the non-invertible
+    injections into each source cell that injections(level) gives."""
+    for c, n in m.source.cells.items():
+        img = m.target.canonical(m.cell_map[c])
+        if any(m.target.act(img, theta) != img for theta in m.source.stabs[c]):
+            return False
+        for iota in injections(n):
+            if not iota.is_iso() and (
+                m.apply(m.source.faces[(c, iota)]) != m.target.act(img, iota)
+            ):
+                return False
+    return True
+
+
+def test_morphism_naturality_is_not_decided_by_generators():
+    # two copies of Lambda(2) glued along their edge 01; the lower cells of
+    # Lambda(2) go to the first triangle and the top cell to the second, so
+    # the faces agree along edge 01 only
+    L = representable((2,))
+    D = disjoint_union(L, L)
+    res = quotient(D, [(D.cell_element("L.s01"), D.cell_element("R.s01"))])
+    proj = res.projection.cell_map
+    cell_map = {c: proj["R.s012" if c == "s012" else f"L.{c}"] for c in L.cells}
+    m = PolyMorphism(L, res.complex, cell_map)
+    # the only non-invertible generator into (2,) is edge 01. Checked at each
+    # cell c, it covers c along edge 01; the other edges are g.01 for
+    # automorphisms g, and naturality along them is a statement about the
+    # element c.g, which such a check never visits. So it accepts this map.
+    assert [g.mapping for g in _generators_into((2,)) if not g.is_iso()] == [((0,), (1,))]
+    assert _natural_on(m, _generators_into)
+
+    def codimension_one(n):
+        return [g for g in injections_into(n) if index_dim(g.source) == index_dim(n) - 1]
+
+    assert not _natural_on(m, codimension_one)
+    with pytest.raises(ValueError, match="naturality fails at cell s012"):
+        PolyMorphism.from_cells(L, res.complex, cell_map)
