@@ -142,10 +142,12 @@ def cmd_abelianize(args) -> int:
 
 
 def _parse_primes(tokens) -> List[int]:
+    from .intlin import is_prime
+
     out = []
     for t in tokens.split(","):
         p = int(t)
-        if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+        if not is_prime(p):
             raise InputError(f"{t} violates the primality requirement")
         out.append(p)
     return sorted(set(out))

@@ -15,7 +15,7 @@ from operator import itemgetter
 from typing import Dict, List, Sequence, Set, Tuple
 
 from .graphs import Branch, BranchGraph
-from .intlin import FgAbGroup, IntMatrix, cokernel_group
+from .intlin import FgAbGroup, IntMatrix, cokernel_group, is_prime
 from .presentations import GroupPresentation
 
 Perm = Tuple[int, ...]
@@ -313,16 +313,14 @@ def pi1_presentation(gog: GraphOfFiniteGroups) -> GroupPresentation:
     G = gog.graph
     if not G.is_connected():
         raise ValueError("graph of groups must be connected")
-    tree = G.spanning_tree()
     symbols = _vertex_symbols(gog)
     nv = len(symbols)
-    chords = [e for e in G.real_edges() if e not in tree]
     names = []
     for v in G.vertices:
         for a in range(1, gog.vertex_groups[v].order):
             names.append(f"{v}.{a}")
     edge_symbol = {}
-    for i, e in enumerate(chords):
+    for i, e in enumerate(G.chords()):
         edge_symbol[e] = nv + i + 1
         names.append(e)
 
@@ -345,11 +343,11 @@ def pi1_presentation(gog: GraphOfFiniteGroups) -> GroupPresentation:
         for a in range(1, Ge.order):
             left = word(v0, m0[a])
             right = tuple(-s for s in reversed(word(v1, m1[a])))
-            if e in tree:
-                relators.append(left + right)
-            else:
+            if e in edge_symbol:
                 t = edge_symbol[e]
                 relators.append(left + (t,) + right + (-t,))
+            else:
+                relators.append(left + right)
     return GroupPresentation(names, relators)
 
 
@@ -424,7 +422,7 @@ def tempered_ab_profile(g: int, h: int, p: int) -> TemperedAbProfile:
         raise ValueError("genus and cycle count must be nonnegative")
     if 2 * g - h < 0:
         raise ValueError("need h <= 2g")
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise ValueError("p must be prime")
     return TemperedAbProfile(free_rank=h, pro_pprime_corank=2 * g - h, p=p)
 

@@ -376,8 +376,9 @@ def enumerate_covers(G: BranchGraph, degree: int) -> List[GraphCover]:
         raise ValueError("degree must be >= 1")
     if not G.vertices:
         raise ValueError("graph has no vertices, so it has no covers")
-    tree = G.spanning_tree()
-    chords = [e for e in G.real_edges() if e not in tree]
+    if not G.is_connected():
+        raise ValueError("graph is not connected; cover enumeration needs a connected graph")
+    chords = G.chords()
     reps = _orbit_representatives(len(chords), _perms(degree))
     sheets = range(degree)
     vertices = [_encode(v, i) for v in G.vertices for i in sheets]
@@ -404,7 +405,6 @@ def enumerate_covers(G: BranchGraph, degree: int) -> List[GraphCover]:
             [_encode(u, i) for i in sheets],
             [_encode(w, j) for j in sheets],
         ))
-    base_connected = G.is_connected()
     covers = []
     for assignment in reps:
         edges = dict(fixed_edges)
@@ -418,7 +418,7 @@ def enumerate_covers(G: BranchGraph, degree: int) -> List[GraphCover]:
             edge_map=dict(edge_map),
             branch_map=dict(branch_map),
             assignment=assignment,
-            connected=base_connected and _transitive(assignment, degree),
+            connected=_transitive(assignment, degree),
         )
         cover.validate()
         covers.append(cover)

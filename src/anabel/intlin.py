@@ -1,19 +1,21 @@
 """Exact linear algebra: row reduction over Q, Smith normal form over Z.
 
 Over Q: row reduction, nullspace, rank and exact linear feasibility
-(Fourier-Motzkin). Over Z: Smith normal form, f.g. abelian groups,
-cokernels and lattice membership. One reduction core serves the Smith form;
-`smith_normal_form` has it track U and V, while `smith_diagonal` (behind
-cokernels, kernel ranks and mod-n solution groups) tracks no transforms.
-Everything works with plain integers and `Fraction`, so there is no
-overflow; pivot growth is harmless at the matrix sizes this package deals
-with (a few hundred entries at most).
+(Fourier-Motzkin). Over Z: primality, Smith normal form, f.g. abelian
+groups, cokernels and lattice membership. One reduction loop serves the
+Smith form; `smith_normal_form` has it track U and V, while
+`smith_diagonal` (behind cokernels, kernel ranks, mod-n solution groups and
+lattice membership) tracks no transforms. An entry the pivot does not
+divide is cleared by a 2 x 2 gcd step, so the pivot shrinks to the gcd and
+no unreduced remainder row becomes the next pivot; that is what keeps
+entries from running away. Everything works with plain integers and
+`Fraction`, so there is no overflow.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
-from math import gcd
+from math import gcd, isqrt, prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
 
@@ -302,149 +304,138 @@ def solve_eq_ineq(equalities, inequalities, nvars: int) -> Optional[List[Fractio
 
 
 # ---------------------------------------------------------------------------
-# Smith normal form over Z
+# over Z: primality and Smith normal form
 # ---------------------------------------------------------------------------
 
 
-def _pivot_position(a, start, n, m):
-    """Smallest nonzero absolute value, ties broken by row-major position.
-
-    No key is smaller than a unit's, so the first unit met is the pivot.
-    """
-    best = None
-    for i in range(start, n):
-        row = a[i]
-        for j in range(start, m):
-            v = row[j]
-            if v:
-                if v == 1 or v == -1:
-                    return i, j
-                key = (abs(v), i, j)
-                if best is None or key < best:
-                    best = key
-    return None if best is None else best[1:]
+def is_prime(p: int) -> bool:
+    """Trial division by every q >= 2 with q * q <= p."""
+    return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
-def _smith_reduce(a, n, m, u=None, v=None) -> None:
+def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
+    """(g, x, y) with x*a + y*b = g = gcd(a, b) > 0, for a and b not both 0."""
+    x0, y0, x1, y1 = 1, 0, 0, 1
+    while b:
+        q, r = divmod(a, b)
+        a, b = b, r
+        x0, y0, x1, y1 = x1, y1, x0 - q * x1, y0 - q * y1
+    return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
+
+
+def _smith_form(a, n, m, u=None, v=None) -> None:
     """Reduce the n x m integer matrix `a` (a list of row lists) in place to
     Smith form: diagonal with nonnegative entries d1 | d2 | ...
 
     Each row operation is also applied to `u`, and each column operation to
     `v`, when they are given; started from identities they end as U and V
-    with U*M*V = S. Pivots are chosen deterministically (smallest nonzero
-    absolute value, lowest position), so U and V are reproducible. Only work
-    that cannot change an entry is skipped: the divisibility scan under a
-    unit pivot, and the rows of a column operation whose source entry is 0.
+    with U*M*V = S. The pivot at step t is the smallest nonzero |entry| of
+    the block a[t:][t:] (first in row-major order; the search stops at a
+    unit), moved to (t, t). An entry of its column or row that the pivot
+    divides is cleared by subtracting a multiple of the pivot row or column;
+    any other entry x is cleared by a 2 x 2 unimodular step that puts
+    gcd(pivot, x) on the diagonal, so the pivot only shrinks and no
+    remainder is ever swapped in unreduced. Once row and column are clear, a
+    row holding an entry the pivot does not divide is added to the pivot
+    row and the clearing repeats; a unit pivot divides everything.
     """
+    row_mats = (a,) if u is None else (a, u)
+    col_mats = (a,) if v is None else (a, v)
 
-    def swap_rows(i, j):
-        a[i], a[j] = a[j], a[i]
-        if u is not None:
-            u[i], u[j] = u[j], u[i]
+    def rows(i, k, p, q, r, s):
+        # (row i, row k) <- (p row i + q row k, r row i + s row k)
+        for b in row_mats:
+            x, y = b[i], b[k]
+            if (p, q, s) == (1, 0, 1):
+                b[k] = [yi + r * xi for xi, yi in zip(x, y)]
+            elif (p, q, r, s) == (0, 1, 1, 0):
+                b[i], b[k] = y, x
+            else:
+                b[i] = [p * xi + q * yi for xi, yi in zip(x, y)]
+                b[k] = [r * xi + s * yi for xi, yi in zip(x, y)]
 
-    def swap_cols(i, j):
-        for r in a:
-            r[i], r[j] = r[j], r[i]
-        if v is not None:
-            for r in v:
-                r[i], r[j] = r[j], r[i]
+    def cols(j, k, p, q, r, s):
+        # the same on columns j and k, in place, skipping rows where the
+        # entries that feed the result are 0
+        for b in col_mats:
+            if (p, q, s) == (1, 0, 1):
+                for row in b:
+                    if row[j]:
+                        row[k] += r * row[j]
+            else:
+                for row in b:
+                    x, y = row[j], row[k]
+                    if x or y:
+                        row[j], row[k] = p * x + q * y, r * x + s * y
 
-    def addmul_row(dst, src, c):
-        if c:
-            a[dst] = [x + c * y for x, y in zip(a[dst], a[src])]
-            if u is not None:
-                u[dst] = [x + c * y for x, y in zip(u[dst], u[src])]
-
-    def addmul_col(dst, src, c):
-        if c:
-            for r in a:
-                if r[src]:
-                    r[dst] += c * r[src]
-            if v is not None:
-                for r in v:
-                    if r[src]:
-                        r[dst] += c * r[src]
-
-    def negate_row(i):
-        a[i] = [-x for x in a[i]]
-        if u is not None:
-            u[i] = [-x for x in u[i]]
-
-    t = 0
-    while t < min(n, m):
-        piv = _pivot_position(a, t, n, m)
-        if piv is None:
-            break
-        pi, pj = piv
-        if pi != t:
-            swap_rows(t, pi)
-        if pj != t:
-            swap_cols(t, pj)
-        while True:
-            # clear column t, then row t; a smaller remainder may reappear
-            progress = False
-            for i in range(t + 1, n):
-                if a[i][t]:
-                    q = a[i][t] // a[t][t]
-                    addmul_row(i, t, -q)
-                    if a[i][t]:
-                        swap_rows(t, i)
-                        progress = True
-            for j in range(t + 1, m):
-                if a[t][j]:
-                    q = a[t][j] // a[t][t]
-                    addmul_col(j, t, -q)
-                    if a[t][j]:
-                        swap_cols(t, j)
-                        progress = True
-            if not progress:
-                break
-        # divisibility: fold any entry not divisible by the pivot back in;
-        # a unit pivot divides everything
-        while a[t][t] not in (1, -1):
-            bad = None
-            for i in range(t + 1, n):
-                for j in range(t + 1, m):
-                    if a[i][j] % a[t][t] != 0:
-                        bad = (i, j)
+    for t in range(min(n, m)):
+        best = None
+        for i in range(t, n):
+            row = a[i]
+            for j in range(t, m):
+                x = row[j]
+                if x and (best is None or abs(x) < best[0]):
+                    best = (abs(x), i, j)
+                    if best[0] == 1:
                         break
-                if bad:
-                    break
+            else:
+                continue
+            break
+        if best is None:
+            break
+        _, pi, pj = best
+        if pi != t:
+            rows(t, pi, 0, 1, 1, 0)
+        if pj != t:
+            cols(t, pj, 0, 1, 1, 0)
+        d = a[t][t]
+        while True:
+            for i in range(t + 1, n):
+                x = a[i][t]
+                if not x:
+                    continue
+                if x % d:
+                    g, p, q = _xgcd(d, x)
+                    rows(t, i, p, q, -(x // g), d // g)
+                    d = g
+                else:
+                    rows(t, i, 1, 0, -(x // d), 1)
+            # a gcd step on columns refills column t
+            refilled = False
+            for j in range(t + 1, m):
+                x = a[t][j]
+                if not x:
+                    continue
+                if x % d:
+                    g, p, q = _xgcd(d, x)
+                    cols(t, j, p, q, -(x // g), d // g)
+                    d = g
+                    refilled = True
+                else:
+                    cols(t, j, 1, 0, -(x // d), 1)
+            if refilled:
+                continue
+            if d in (1, -1):
+                break
+            bad = next(
+                (i for i in range(t + 1, n) if any(x % d for x in a[i][t + 1:])),
+                None,
+            )
             if bad is None:
                 break
-            bi, bj = bad
-            addmul_row(t, bi, 1)
-            while True:
-                progress = False
-                for j in range(t + 1, m):
-                    if a[t][j]:
-                        q = a[t][j] // a[t][t]
-                        addmul_col(j, t, -q)
-                        if a[t][j]:
-                            swap_cols(t, j)
-                            progress = True
-                for i in range(t + 1, n):
-                    if a[i][t]:
-                        q = a[i][t] // a[t][t]
-                        addmul_row(i, t, -q)
-                        if a[i][t]:
-                            swap_rows(t, i)
-                            progress = True
-                if not progress:
-                    break
-        if a[t][t] < 0:
-            negate_row(t)
-        t += 1
+            rows(bad, t, 1, 0, 1, 1)
+        if d < 0:
+            rows(t, t, 1, 0, -2, 1)  # row t - 2 row t: negate row t
 
 
 def smith_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, S, V) with U*M*V = S, U and V unimodular, S in Smith form
-    (pivot rule and divisibility chain as in `_smith_reduce`)."""
+    (pivot rule and divisibility chain as in `_smith_form`)."""
     n, m = M.rows, M.cols
     a = M.to_rows()
     u = IntMatrix.identity(n).to_rows()
     v = IntMatrix.identity(m).to_rows()
-    _smith_reduce(a, n, m, u, v)
+    _smith_form(a, n, m, u, v)
     U = IntMatrix.from_rows(u) if n else IntMatrix.zero(0, 0)
     V = IntMatrix.from_rows(v) if m else IntMatrix.zero(0, 0)
     S = IntMatrix.from_rows(a) if n else IntMatrix.zero(0, m)
@@ -457,7 +448,7 @@ def smith_diagonal(M: IntMatrix) -> Tuple[int, ...]:
     Only the matrix itself is reduced; no transforms are tracked.
     """
     a = M.to_rows()
-    _smith_reduce(a, M.rows, M.cols)
+    _smith_form(a, M.rows, M.cols)
     return tuple(a[i][i] for i in range(min(M.rows, M.cols)))
 
 
@@ -495,23 +486,19 @@ def solution_group_mod(M: IntMatrix, n: int) -> FgAbGroup:
 
 
 def lattice_member(vecs: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
-    """Is target in the sublattice of Z^d generated by vecs?"""
+    """Is target in the sublattice L of Z^d generated by vecs?
+
+    The product of the nonzero Smith invariants of a lattice is its index in
+    its saturation. L is contained in L + Z target, and both lie in the
+    saturation of L exactly when their ranks agree, so target is in L iff
+    the two have the same number of nonzero invariants and the same product.
+    """
     d = len(target)
     if not vecs:
         return all(t == 0 for t in target)
     M = IntMatrix.from_rows(vecs)
     if M.cols != d:
         raise ValueError("ambient dimension mismatch")
-    U, S, V = smith_normal_form(M)
-    # rows of M span L; solve y * M = target, y integral <=> target in L.
-    # With U M V = S: target in L iff z := target * V is solvable z = w * S.
-    z = [sum(target[k] * V[k, j] for k in range(d)) for j in range(d)]
-    r = min(M.rows, d)
-    for j in range(d):
-        dj = S[j, j] if j < r else 0
-        if dj == 0:
-            if z[j] != 0:
-                return False
-        elif z[j] % dj != 0:
-            return False
-    return True
+    ours = [x for x in smith_diagonal(M) if x]
+    theirs = [x for x in smith_diagonal(IntMatrix.from_rows([*vecs, target])) if x]
+    return len(ours) == len(theirs) and prod(ours) == prod(theirs)

@@ -15,10 +15,11 @@ from typing import Dict, Optional, Set, Tuple
 
 from .currents import Current, SubgraphStar, vanishes_on_star
 from .graphs import BranchGraph, MetricGraph
+from .intlin import is_prime
 
 
 def _check_prime(p: int) -> int:
-    if p < 2 or any(p % q == 0 for q in range(2, int(p**0.5) + 1)):
+    if not is_prime(p):
         raise ValueError(f"{p} is not prime (equal characteristic is rejected)")
     return p
 

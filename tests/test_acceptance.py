@@ -314,40 +314,30 @@ def _hom_candidates(H, auts, pi, abelian):
 
 
 def _valid_g_tables(pi, H, alpha):
-    """All cocycle tables for the given automorphism family."""
+    """All cocycle tables for the given automorphism family, in the order of
+    itertools.product over range(pi.order) per pair (h1, h2)."""
     pairs = [(h1, h2) for h1 in range(H.order) for h2 in range(H.order)]
+    # first cocycle condition, alpha(h1) alpha(h2) = conj(g(h1, h2)) alpha(h1 h2),
+    # constrains each g(h1, h2) on its own; filtering every coordinate keeps
+    # the product's order
+    allowed = []
+    for h1, h2 in pairs:
+        lhs = tuple(alpha[h1][alpha[h2][x]] for x in range(pi.order))
+        allowed.append([
+            g for g in range(pi.order)
+            if tuple(pi.conj_automorphism(g)[alpha[H.op(h1, h2)][x]]
+                     for x in range(pi.order)) == lhs
+        ])
     out = []
-    for choice in itertools.product(range(pi.order), repeat=len(pairs)):
+    for choice in itertools.product(*allowed):
         g = dict(zip(pairs, choice))
-        ok = True
-        for h1 in range(H.order):
-            for h2 in range(H.order):
-                lhs = tuple(
-                    alpha[h1][alpha[h2][x]] for x in range(pi.order)
-                )
-                conj = pi.conj_automorphism(g[(h1, h2)])
-                rhs = tuple(conj[alpha[H.op(h1, h2)][x]] for x in range(pi.order))
-                if lhs != rhs:
-                    ok = False
-                    break
-            if not ok:
-                break
-        if ok:
-            for h1 in range(H.order):
-                for h2 in range(H.order):
-                    for h3 in range(H.order):
-                        l = pi.op(g[(h1, h2)], g[(H.op(h1, h2), h3)])
-                        r = pi.op(
-                            alpha[h1][g[(h2, h3)]], g[(h1, H.op(h2, h3))]
-                        )
-                        if l != r:
-                            ok = False
-                            break
-                    if not ok:
-                        break
-                if not ok:
-                    break
-        if ok:
+        if all(
+            pi.op(g[(h1, h2)], g[(H.op(h1, h2), h3)])
+            == pi.op(alpha[h1][g[(h2, h3)]], g[(h1, H.op(h2, h3))])
+            for h1 in range(H.order)
+            for h2 in range(H.order)
+            for h3 in range(H.order)
+        ):
             out.append(g)
     return out
 

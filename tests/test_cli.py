@@ -134,6 +134,17 @@ def test_graph_without_vertices_has_no_covers(tmp_path, command):
     assert proc.stdout == "current group = 0\nbasis currents = 0\n"
 
 
+def test_disconnected_graph_has_no_cover_enumeration(tmp_path):
+    doc = tmp_path / "two.graph"
+    doc.write_text("kind = graph\nvertices = u v\nedge a = u u\n")
+    proc = run_cli(["cover-enum", "--input", str(doc)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        "input error: graph is not connected; cover enumeration needs a connected graph\n"
+    )
+
+
 @pytest.mark.parametrize("old,new", [("alpha 1 =", "alpha ="), ("g 1 0 = 0", "g 1 =")])
 def test_malformed_extension_exit_code(tmp_path, old, new):
     doc = tmp_path / "bad.extension"

@@ -1,5 +1,6 @@
 import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -8,6 +9,7 @@ from anabel.intlin import (
     FgAbGroup,
     IntMatrix,
     cokernel_group,
+    is_prime,
     kernel_rank,
     lattice_member,
     nullspace,
@@ -85,27 +87,26 @@ def test_zero_matrix():
     assert S.entries == (0, 0, 0)
 
 
+def _assert_smith_factorization(M: IntMatrix, U: IntMatrix, S: IntMatrix, V: IntMatrix):
+    """U*M*V = S with U and V unimodular and S a Smith form."""
+    n, m = M.rows, M.cols
+    assert U * M * V == S
+    assert n == 0 or abs(U.determinant()) == 1
+    assert m == 0 or abs(V.determinant()) == 1
+    diag = [S[i, i] for i in range(min(n, m))]
+    assert all(S[i, j] == 0 for i in range(n) for j in range(m) if i != j)
+    assert all(x >= 0 for x in diag)
+    for a, b in zip(diag, diag[1:]):
+        assert b % a == 0 if a else b == 0
+
+
 def test_factorization_and_unimodularity_random():
     rng = random.Random(1234)
     for _ in range(120):
         n = rng.randint(1, 5)
         m = rng.randint(1, 5)
         M = IntMatrix(n, m, [rng.randint(-5, 5) for _ in range(n * m)])
-        U, S, V = smith_normal_form(M)
-        assert U * M * V == S
-        assert abs(U.determinant()) == 1
-        assert abs(V.determinant()) == 1
-        diag = [S[i, i] for i in range(min(n, m))]
-        for i in range(n):
-            for j in range(m):
-                if i != j:
-                    assert S[i, j] == 0
-        for a, b in zip(diag, diag[1:]):
-            assert a >= 0 and b >= 0
-            if a == 0:
-                assert b == 0
-            else:
-                assert b % a == 0
+        _assert_smith_factorization(M, *smith_normal_form(M))
 
 
 def test_cokernel_no_relations():
@@ -196,6 +197,15 @@ def test_lattice_member():
     assert not lattice_member([], [1, 0])
     assert lattice_member([[1, 1]], [3, 3])
     assert not lattice_member([[1, 1]], [1, 0])
+
+
+def test_is_prime_matches_sieve():
+    sieve = [False, False] + [True] * 999
+    for q in range(2, 32):
+        for k in range(q * q, 1001, q):
+            sieve[k] = False
+    assert [p for p in range(-5, 1001) if is_prime(p)] == [p for p in range(1001) if sieve[p]]
+    assert is_prime(2**31 - 1) and not is_prime(65537 * 65537)
 
 
 def test_row_reduce():
@@ -432,13 +442,86 @@ def _smith_corpus(rng):
 
 
 def test_smith_normal_form_matches_reference():
+    # S is unique, so it must equal the reference's; U and V come from a
+    # different sequence of operations and are checked by U*M*V = S and
+    # unimodularity instead
     rng = random.Random(SEED)
     # the first pivot divides no other entry, so the divisibility loop runs
     fixed = [(2, 2, [[2, 0], [0, 3]]), (3, 3, [[6, 0, 0], [0, 4, 0], [0, 0, 9]])]
     for n, m, rows in [*fixed, *_smith_corpus(rng)]:
         M = IntMatrix(n, m, [x for r in rows for x in r])
-        got, want = smith_normal_form(M), _reference_smith_normal_form(M)
-        for g, w in zip(got, want):
-            assert (g.rows, g.cols, g.entries) == (w.rows, w.cols, w.entries), rows
-        S = want[1]
+        U, S, V = smith_normal_form(M)
+        want = _reference_smith_normal_form(M)[1]
+        assert (S.rows, S.cols, S.entries) == (want.rows, want.cols, want.entries), rows
+        _assert_smith_factorization(M, U, S, V)
         assert smith_diagonal(M) == tuple(S[i, i] for i in range(min(n, m))), rows
+
+
+# a 7 x 5 matrix on which a reduction that swaps in unreduced remainder rows
+# runs for minutes; its Smith diagonal is 1, 1, 1, 1, 2
+STIFF_7X5 = [[-7, 4, 5, 6, 1], [-1, 9, 2, 0, 9], [-7, 1, 4, 9, 4], [9, 0, -1, -7, 4],
+             [-7, 0, -1, 6, 5], [5, -3, 9, 2, 0], [4, 0, 2, 1, 5]]
+
+
+def _dense(seed, n=7, m=7, bound=9):
+    rng = random.Random(seed)
+    return [[rng.randint(-bound, bound) for _ in range(m)] for _ in range(n)]
+
+
+def test_stiff_matrix_cokernel():
+    M = IntMatrix.from_rows(STIFF_7X5)
+    assert smith_diagonal(M) == (1, 1, 1, 1, 2)
+    assert cokernel_group(M) == FgAbGroup(0, (2,))
+
+
+@pytest.mark.parametrize("seed", range(6))
+def test_dense_smith_normal_form_stays_small(seed):
+    M = IntMatrix.from_rows(_dense(seed))
+    t0 = time.perf_counter()
+    U, S, V = smith_normal_form(M)
+    assert time.perf_counter() - t0 < 0.1
+    _assert_smith_factorization(M, U, S, V)
+
+
+def test_stiff_diagonals_match_sympy():
+    sympy = pytest.importorskip("sympy")
+    from sympy.matrices.normalforms import smith_normal_form as sympy_snf
+
+    for rows in [STIFF_7X5, *(_dense(seed) for seed in range(6))]:
+        ref = sympy_snf(sympy.Matrix(rows), domain=sympy.ZZ)
+        expected = tuple(abs(int(ref[i, i])) for i in range(min(ref.shape)))
+        assert smith_diagonal(IntMatrix.from_rows(rows)) == expected, rows
+
+
+def _reference_lattice_member(vecs, target):
+    """Membership read off the Smith transforms: with U M V = S, target is
+    in the row lattice of M iff z = target V satisfies z = w S for an
+    integral w."""
+    d = len(target)
+    if not vecs:
+        return all(t == 0 for t in target)
+    M = IntMatrix.from_rows(vecs)
+    _, S, V = _reference_smith_normal_form(M)
+    z = [sum(target[k] * V[k, j] for k in range(d)) for j in range(d)]
+    for j in range(d):
+        dj = S[j, j] if j < min(M.rows, d) else 0
+        if (z[j] % dj if dj else z[j]) != 0:
+            return False
+    return True
+
+
+def test_lattice_member_matches_transform_reference():
+    rng = random.Random(SEED)
+    members = 0
+    for _ in range(300):
+        d, k = rng.randint(1, 4), rng.randint(0, 4)
+        vecs = [[rng.randint(-4, 4) for _ in range(d)] for _ in range(k)]
+        # a random combination of the generators, half the time nudged off
+        target = [sum(c * v[j] for c, v in zip([rng.randint(-3, 3) for _ in vecs], vecs))
+                  for j in range(d)]
+        if rng.random() < 0.5:
+            target[rng.randrange(d)] += rng.randint(1, 3)
+        want = _reference_lattice_member(vecs, target)
+        assert lattice_member(vecs, target) == want, (vecs, target)
+        members += want
+    assert 50 < members < 250
