@@ -7,6 +7,7 @@ vertex law constrains them; they still enter every Kirchhoff sum.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .graphs import Branch, BranchGraph
@@ -14,37 +15,45 @@ from .intlin import FgAbGroup, IntMatrix, kernel_rank, solution_group_mod
 
 
 class Current:
-    """Branch-valued function with C(iota b) = -C(b) and zero vertex sums."""
+    """Branch-valued function with C(iota b) = -C(b) and zero vertex sums.
+
+    The constructor only reduces the values. Data from outside the library
+    goes through `validate`, which checks antisymmetry and Kirchhoff's law;
+    `add`, `scale`, `reduce_mod`, automorphisms and `path_current` keep
+    both laws by construction.
+    """
 
     def __init__(
         self,
         graph: BranchGraph,
         values: Dict[Branch, int],
         modulus: Optional[int] = None,
-        allow_boundary: bool = False,
     ):
-        if modulus is not None and modulus < 2:
-            raise ValueError("modulus must be >= 2")
         self.graph = graph
         self.modulus = modulus
-        vals = {}
-        for b in graph.branches():
-            v = int(values.get(b, 0))
-            vals[b] = v % modulus if modulus else v
-        self.values = vals
-        for b in graph.branches():
-            pb = graph.iota(b)
-            if pb is not None:
-                if not self._zero(self.values[b] + self.values[pb]):
-                    raise ValueError(f"antisymmetry fails on edge {b[0]}")
-        boundary = {}
-        for v in graph.vertices:
-            s = sum(self.values[b] for b in graph.branches_at(v))
-            if not self._zero(s):
-                boundary[v] = s % modulus if modulus else s
-        if boundary and not allow_boundary:
-            raise ValueError(f"Kirchhoff law fails at {sorted(boundary)}")
-        self.boundary = boundary
+        self.values = {
+            b: values.get(b, 0) % modulus if modulus else values.get(b, 0)
+            for b in graph.branches()
+        }
+
+    @cached_property
+    def boundary(self) -> Dict[str, int]:
+        """The nonzero vertex sums (Kirchhoff defects), by vertex."""
+        m, G = self.modulus, self.graph
+        sums = {v: sum(self.values[b] for b in G.branches_at(v)) for v in G.vertices}
+        return {v: s % m if m else s for v, s in sums.items() if not self._zero(s)}
+
+    def validate(self) -> "Current":
+        """Check the modulus, antisymmetry and Kirchhoff's law; return self."""
+        if self.modulus is not None and self.modulus < 2:
+            raise ValueError("modulus must be >= 2")
+        for b in self.graph.branches():
+            pb = self.graph.iota(b)
+            if pb is not None and not self._zero(self.values[b] + self.values[pb]):
+                raise ValueError(f"antisymmetry fails on edge {b[0]}")
+        if self.boundary:
+            raise ValueError(f"Kirchhoff law fails at {sorted(self.boundary)}")
+        return self
 
     def _zero(self, x: int) -> bool:
         return x % self.modulus == 0 if self.modulus else x == 0
@@ -65,19 +74,23 @@ class Current:
     def add(self, other: "Current") -> "Current":
         if other.graph is not self.graph and other.graph.edges != self.graph.edges:
             raise ValueError("currents live on different graphs")
+        if other.modulus != self.modulus:
+            rings = [f"Z/{m}" if m else "Z" for m in (self.modulus, other.modulus)]
+            raise ValueError(f"cannot add currents with coefficients in {rings[0]} and {rings[1]}")
         vals = {b: self.values[b] + other.values[b] for b in self.values}
-        return Current(self.graph, vals, self.modulus, allow_boundary=True)
+        return Current(self.graph, vals, self.modulus)
 
     def scale(self, k: int) -> "Current":
-        return Current(
-            self.graph,
-            {b: k * v for b, v in self.values.items()},
-            self.modulus,
-            allow_boundary=True,
-        )
+        return Current(self.graph, {b: k * v for b, v in self.values.items()}, self.modulus)
 
     def reduce_mod(self, n: int) -> "Current":
-        return Current(self.graph, dict(self.values), n, allow_boundary=bool(self.boundary))
+        """The image in Z/n; a Z/m current has one only when n divides m."""
+        if n < 2:
+            raise ValueError("modulus must be >= 2")
+        if self.modulus and self.modulus % n:
+            raise ValueError(f"cannot reduce a Z/{self.modulus} current mod {n}: "
+                             f"{n} does not divide {self.modulus}")
+        return Current(self.graph, self.values, n)
 
     @classmethod
     def zero(cls, graph: BranchGraph, modulus: Optional[int] = None) -> "Current":
@@ -170,11 +183,11 @@ def path_current(
     is_closed = start == end
     if closed is not None and closed != is_closed:
         raise ValueError("path closure does not match expectation")
-    cur = Current(G, values, allow_boundary=not is_closed)
+    cur = Current(G, values)
     return PathCurrentResult(
         current=cur if is_closed else None,
         values=cur.values,
-        boundary=cur.boundary,
+        boundary={} if is_closed else cur.boundary,
     )
 
 
@@ -282,7 +295,7 @@ class GraphAutomorphism:
         for b in G.branches():
             inv_branch[self.branch(G, b)] = b
         vals = {b: current.values[inv_branch[b]] for b in G.branches()}
-        return Current(G, vals, current.modulus, allow_boundary=True)
+        return Current(G, vals, current.modulus)
 
 
 def equivariant_average(
@@ -311,7 +324,7 @@ def equivariant_average(
     total = Current.zero(G, c0.modulus)
     for g in reps:
         total = total.add(g.act(c0))
-    result = Current(G, total.values, c0.modulus)
+    result = total.validate()
     for g in elements:
         if g.act(result) != result:
             raise AssertionError("averaged current is not invariant")

@@ -231,13 +231,16 @@ def load_current(node: Node) -> Current:
     G = load_graph(node.one_child("graph"))
     modulus = node.maybe_one("modulus")
     modulus = as_int(modulus[0]) if modulus else None
+    branches = set(G.branches())
     values = {}
     for key, val in node.scalars("value"):
         if len(key) != 3:
             raise DocumentError("value entries look like: value <edge> <slot> = k")
-        values[(key[1], as_int(key[2]))] = as_int(
-            _need(val, 1, "value <edge> <slot> = k")[0])
-    return Current(G, values, modulus)
+        branch = (key[1], as_int(key[2]))
+        if branch not in branches:
+            raise DocumentError(f"graph has no branch {key[1]} {key[2]}")
+        values[branch] = as_int(_need(val, 1, "value <edge> <slot> = k")[0])
+    return Current(G, values, modulus).validate()
 
 
 # -- monoids ------------------------------------------------------------------

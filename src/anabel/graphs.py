@@ -370,7 +370,10 @@ def enumerate_covers(G: BranchGraph, degree: int) -> List[GraphCover]:
     Everything but the chord edges of the total graph is the same for every
     cover, so the vertex, edge and branch maps and the lifted tree and cusp
     edges are built once as a template; each cover copies the template and
-    fills in its chords, then is built and validated in full.
+    fills in its chords. Sheet i of a branch lies over it at sheet i of its
+    vertex, and a chord joins sheet i to sheet p[i] for a permutation p, so
+    every such projection is a cover and none is re-validated;
+    `GraphCover.validate` checks covers built by hand.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -411,7 +414,7 @@ def enumerate_covers(G: BranchGraph, degree: int) -> List[GraphCover]:
         for p, (tes, us, ws) in zip(assignment, chord_names):
             for i in sheets:
                 edges[tes[i]] = (us[i], ws[p[i]])
-        cover = GraphCover(
+        covers.append(GraphCover(
             base=G,
             total=BranchGraph(vertices, edges),
             vertex_map=dict(vertex_map),
@@ -419,9 +422,7 @@ def enumerate_covers(G: BranchGraph, degree: int) -> List[GraphCover]:
             branch_map=dict(branch_map),
             assignment=assignment,
             connected=_transitive(assignment, degree),
-        )
-        cover.validate()
-        covers.append(cover)
+        ))
     return covers
 
 

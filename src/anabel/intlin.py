@@ -15,6 +15,7 @@ entries from running away. Everything works with plain integers and
 from __future__ import annotations
 
 from fractions import Fraction
+from functools import lru_cache
 from math import gcd, isqrt, prod
 from typing import Iterable, List, Optional, Sequence, Tuple
 
@@ -27,7 +28,7 @@ class IntMatrix:
     def __init__(self, rows: int, cols: int, entries: Sequence[int]):
         if rows < 0 or cols < 0:
             raise ValueError("matrix dimensions must be nonnegative")
-        entries = tuple(int(e) for e in entries)
+        entries = tuple(entries)
         if len(entries) != rows * cols:
             raise ValueError(
                 f"expected {rows * cols} entries, got {len(entries)}"
@@ -493,12 +494,18 @@ def lattice_member(vecs: Sequence[Sequence[int]], target: Sequence[int]) -> bool
     saturation of L exactly when their ranks agree, so target is in L iff
     the two have the same number of nonzero invariants and the same product.
     """
-    d = len(target)
     if not vecs:
         return all(t == 0 for t in target)
-    M = IntMatrix.from_rows(vecs)
-    if M.cols != d:
+    gens = tuple(map(tuple, vecs))
+    if len(gens[0]) != len(target):
         raise ValueError("ambient dimension mismatch")
-    ours = [x for x in smith_diagonal(M) if x]
-    theirs = [x for x in smith_diagonal(IntMatrix.from_rows([*vecs, target])) if x]
+    ours = _nonzero_invariants(gens)
+    theirs = [x for x in smith_diagonal(IntMatrix.from_rows([*gens, target])) if x]
     return len(ours) == len(theirs) and prod(ours) == prod(theirs)
+
+
+@lru_cache(maxsize=256)
+def _nonzero_invariants(gens: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
+    """The nonzero Smith invariants of a generator set, reduced once per set:
+    `is_saturated` and `saturation` ask about many points of one lattice."""
+    return tuple(x for x in smith_diagonal(IntMatrix.from_rows(gens)) if x)

@@ -250,3 +250,37 @@ def test_internal_fault_exit_code(monkeypatch, capsys):
     assert rc == 3
     assert err == "internal error: AssertionError: planted fault\n"
     assert "Traceback" not in err
+
+
+THETA_CURRENT = (
+    "kind = current\ngraph:\n  vertices = u v\n"
+    "  edge a = u v\n  edge b = u v\n  edge c = u v\n"
+)
+
+
+@pytest.mark.parametrize("values, reason", [
+    ("value a 0 = 1\n", "antisymmetry fails on edge a"),
+    ("value a 0 = 1\nvalue a 1 = -1\n", "Kirchhoff law fails at ['u', 'v']"),
+    ("value zz 0 = 5\n", "graph has no branch zz 0"),
+    ("value a 7 = 1\n", "graph has no branch a 7"),
+], ids=["antisymmetry", "kirchhoff", "unknown-edge", "unknown-slot"])
+def test_current_document_is_checked(tmp_path, values, reason):
+    doc = tmp_path / "bad.current"
+    doc.write_text(THETA_CURRENT + values)
+    proc = run_cli(["current-group", "--input", str(doc)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"input error: {doc}: {reason}\n"
+
+
+def test_current_document_gives_its_graphs_current_group(tmp_path):
+    doc = tmp_path / "cycle.current"
+    doc.write_text(
+        THETA_CURRENT + "modulus = 4\n"
+        "value a 0 = -1\nvalue a 1 = 1\nvalue b 0 = 1\nvalue b 1 = -1\n"
+    )
+    for extra in ([], ["--modulus", "3"], ["--machine"]):
+        got = run_cli(["current-group", "--input", str(doc), *extra])
+        want = run_cli(["current-group", "--input", str(DATA / "theta.graph"), *extra])
+        assert got.returncode == want.returncode == 0, got.stderr
+        assert got.stdout == want.stdout

@@ -66,6 +66,14 @@ def test_current_group_rank_matches_cycle_rank_random():
         group, basis = current_group(G)
         assert group == FgAbGroup(G.cycle_rank())
         assert len(basis) == G.cycle_rank()
+        # the library builds these without checks; each must still be a current
+        for c in basis:
+            c.validate()
+            for n in range(2, 6):
+                c.reduce_mod(n).validate()
+        if len(basis) >= 2:
+            basis[0].add(basis[1]).validate()
+            basis[1].scale(-3).validate()
 
 
 def test_current_group_mod_n():
@@ -77,20 +85,41 @@ def test_current_group_mod_n():
 
 def test_current_validation():
     G = theta()
-    with pytest.raises(ValueError):
-        Current(G, {("a", 0): 1})  # breaks antisymmetry
-    with pytest.raises(ValueError):
-        Current(G, {("a", 0): 1, ("a", 1): -1})  # Kirchhoff fails at u, v
-    c = Current(G, {("a", 0): 1, ("a", 1): -1}, allow_boundary=True)
-    assert set(c.boundary) == {"u", "v"}
+    with pytest.raises(ValueError, match="antisymmetry fails on edge a"):
+        Current(G, {("a", 0): 1}).validate()
+    c = Current(G, {("a", 0): 1, ("a", 1): -1})
+    with pytest.raises(ValueError, match=r"Kirchhoff law fails at \['u', 'v'\]"):
+        c.validate()
+    assert c.boundary == {"u": 1, "v": -1}
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        Current(G, {}, 1).validate()
+    ok = Current(G, {("a", 0): 1, ("a", 1): -1, ("b", 0): -1, ("b", 1): 1}, 3)
+    assert ok.validate() is ok
+    assert ok.values[("a", 1)] == 2
+
+
+def test_add_and_reduce_mod_check_coefficients():
+    G = theta()
+    cycle = {("a", 0): -1, ("a", 1): 1, ("b", 0): 1, ("b", 1): -1}
+    z, z4, z3 = Current(G, cycle), Current(G, cycle, 4), Current(G, cycle, 3)
+    with pytest.raises(ValueError, match="cannot add currents with coefficients in Z/4 and Z/3"):
+        z4.add(z3)
+    with pytest.raises(ValueError, match="cannot add currents with coefficients in Z and Z/4"):
+        z.add(z4)
+    with pytest.raises(ValueError, match="cannot reduce a Z/4 current mod 3: 3 does not divide 4"):
+        z4.reduce_mod(3)
+    with pytest.raises(ValueError, match="modulus must be >= 2"):
+        z.reduce_mod(1)
+    assert z4.reduce_mod(2) == z.reduce_mod(2) == z4.scale(3).reduce_mod(2)
+    assert z4.add(z4).validate() == z.scale(2).reduce_mod(4)
 
 
 def test_cusp_branch_enters_kirchhoff():
     G = BranchGraph(["v"], {"l": ("v", "v"), "c": ("v",)})
     # loop contributes 0 to the vertex sum; cusp branch must vanish alone
-    with pytest.raises(ValueError):
-        Current(G, {("l", 0): 1, ("l", 1): -1, ("c", 0): 2})
-    ok = Current(G, {("l", 0): 1, ("l", 1): -1, ("c", 0): 0})
+    with pytest.raises(ValueError, match=r"Kirchhoff law fails at \['v'\]"):
+        Current(G, {("l", 0): 1, ("l", 1): -1, ("c", 0): 2}).validate()
+    ok = Current(G, {("l", 0): 1, ("l", 1): -1, ("c", 0): 0}).validate()
     assert ok.values[("c", 0)] == 0
     group, _ = current_group(G)
     assert group == FgAbGroup(1)

@@ -454,6 +454,9 @@ def test_enumerate_covers_matches_reference(case):
     for a, b in zip(got, want):
         assert a.base is G
         assert _cover_fields(a) == _cover_fields(b)
+        # enumerate_covers builds covers without checking them
+        assert a.validate() is a
+        _reference_validate(a)
 
 
 def test_covers_own_their_maps():

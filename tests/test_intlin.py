@@ -525,3 +525,28 @@ def test_lattice_member_matches_transform_reference():
         assert lattice_member(vecs, target) == want, (vecs, target)
         members += want
     assert 50 < members < 250
+
+
+def test_lattice_member_reduces_each_generator_set_once(monkeypatch):
+    import anabel.intlin as intlin
+
+    calls = []
+
+    def counting(M):
+        calls.append(M.rows)
+        return smith_diagonal(M)
+
+    monkeypatch.setattr(intlin, "smith_diagonal", counting)
+    intlin._nonzero_invariants.cache_clear()
+    rng = random.Random(SEED)
+    gens = [[3, 1, 0], [0, 2, 5], [1, -1, 2]]
+    points = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(40)]
+    for x in points:
+        assert lattice_member(gens, x) == _reference_lattice_member(gens, x), x
+    # one reduction of the generators, then one of generators plus point
+    assert calls == [3] + [4] * len(points)
+    # a list of lists and a tuple of tuples share the cached invariants
+    assert lattice_member(tuple(map(tuple, gens)), points[0]) == lattice_member(gens, points[0])
+    assert calls == [3] + [4] * (len(points) + 2)
+    with pytest.raises(ValueError, match="ambient dimension mismatch"):
+        lattice_member(gens, [1, 2])
