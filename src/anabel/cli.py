@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import argparse
 import sys
-from fractions import Fraction
 from typing import List
 
 # each subcommand imports the library modules it runs, so a call loads
@@ -50,7 +49,7 @@ def cmd_split_radius(args) -> int:
     p, h = args.p, args.h
     lines, mlines = [], []
     for tok in args.v:
-        v = Fraction(tok)
+        v = documents.as_fraction(tok)
         if v < 0:
             raise InputError(f"valuation {tok} violates v >= 0")
         i = fiber_count(p, h, v)
@@ -65,7 +64,7 @@ def cmd_split_radius(args) -> int:
 def cmd_tate_intervals(args) -> int:
     from .splitting import tate_intervals
 
-    out = tate_intervals(args.p, Fraction(args.v), args.n, args.l, args.m)
+    out = tate_intervals(args.p, documents.as_fraction(args.v), args.n, args.l, args.m)
     lines = [
         f"I1 = [{out.i1[0]}, {out.i1[1]}]  lg = {out.length1}",
         f"I2 = [{out.i2[0]}, {out.i2[1]}]  lg = {out.length2}",

@@ -468,6 +468,15 @@ def rigidity_kernel(
     Returns (basis, warnings); vertices of arity < 3 only produce a
     warning, since the kernel is well-defined (if no longer forced to
     vanish) without that hypothesis.
+
+    Each simple cycle C of a cover gives the row of unsigned edge counts of
+    its image in G, and the kernel is the nullspace of all such rows. The
+    rows found so far are kept as one reduced row echelon basis, which
+    depends only on their span, so the result does not depend on the order
+    in which covers are walked. Once that basis has a pivot in every
+    real-edge column its span is all of Q^E, so further rows cannot change
+    it and the kernel is 0: the walk stops there, after at least the
+    degree-1 cover.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
@@ -479,22 +488,31 @@ def rigidity_kernel(
         warnings.append(
             "vertices of arity < 3: " + ", ".join(low)
         )
+    # graph loading and cover enumeration skip intlin
+    from .intlin import nullspace, row_reduce
+
     edges = G.real_edges()
     index = {e: i for i, e in enumerate(edges)}
-    rows: Set[Tuple[int, ...]] = set()
-    for d in range(1, max_degree + 1):
-        for cover in enumerate_covers(G, d):
-            for cycle in cover.total.simple_cycles():
-                row = [0] * len(edges)
-                for te in cycle:
-                    row[index[cover.edge_map[te]]] += 1
-                if any(row):
-                    rows.add(tuple(row))
-    from .intlin import nullspace  # graph loading and cover enumeration skip it
-
-    basis = nullspace(sorted(rows), len(edges))
+    seen: Set[Tuple[int, ...]] = set()
+    basis: List[List[Fraction]] = []
+    pivots: List[int] = []
+    covers = (c for d in range(1, max_degree + 1) for c in enumerate_covers(G, d))
+    for cover in covers:
+        new = []
+        for cycle in cover.total.simple_cycles():
+            row = [0] * len(edges)
+            for te in cycle:
+                row[index[cover.edge_map[te]]] += 1
+            row = tuple(row)
+            if row not in seen:
+                seen.add(row)
+                new.append(row)
+        if new:
+            basis, pivots = row_reduce(basis + new, len(edges))
+        if len(pivots) == len(edges):
+            break
     return [
-        {e: vec[i] for e, i in index.items()} for vec in basis
+        {e: vec[i] for e, i in index.items()} for vec in nullspace(basis, len(edges))
     ], warnings
 
 

@@ -43,21 +43,20 @@ def fiber_count(p: int, h: int, v: Fraction) -> int:
     _check_prime(p)
     if h < 1:
         raise ValueError("torsor exponent h must be >= 1")
-    v = Fraction(v)
-    if v < 0:
+    a, b = v.as_integer_ratio()
+    if a < 0:
         raise ValueError("valuation must be >= 0")
-    c = Fraction(1, p - 1)
-    if v < 1 + c:
-        return 0
-    return min(h, (v - c).numerator // (v - c).denominator)
+    # v - 1/(p-1) = t/q in integers: v < 1 + 1/(p-1) exactly when t < q,
+    # and the band floor(v - 1/(p-1)) is t // q
+    t, q = a * (p - 1) - b, b * (p - 1)
+    return 0 if t < q else min(h, t // q)
 
 
 def band_boundary_flag(p: int, h: int, v: Fraction) -> bool:
     """True when v sits exactly on a band boundary i + 1/(p-1)."""
-    v = Fraction(v)
-    c = Fraction(1, p - 1)
-    t = v - c
-    return t >= 1 and t.denominator == 1 and t.numerator <= h
+    a, b = v.as_integer_ratio()
+    t, q = a * (p - 1) - b, b * (p - 1)  # v - 1/(p-1) = t/q
+    return q <= t <= h * q and t % q == 0
 
 
 def contraction_bound(d: Fraction, lam: Fraction) -> Fraction:

@@ -101,6 +101,17 @@ def test_nonprime_rejected():
     assert proc.returncode == 2
 
 
+@pytest.mark.parametrize("argv", [
+    ["split-radius", "2", "3", "1/0"],
+    ["tate-intervals", "2", "1/0", "1", "3", "3"],
+])
+def test_valuation_with_zero_denominator_is_an_input_error(argv):
+    proc = run_cli(argv)
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "input error: expected a rational a/b, got '1/0'\n"
+
+
 def test_rigidity_exit_code_on_nontrivial_kernel(tmp_path):
     doc = tmp_path / "circle.graph"
     doc.write_text(

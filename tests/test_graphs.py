@@ -1,5 +1,6 @@
 import os
 import random
+import time
 from fractions import Fraction
 
 import pytest
@@ -860,3 +861,71 @@ def test_degree_zero_certifies_nothing():
         detect_metric_mismatch(G1, G2, iso, 2, max_cover_degree=0)
     with pytest.raises(ValueError, match="no vertices"):
         enumerate_covers(BranchGraph([], {}), 1)
+
+
+def _reference_rigidity_kernel(G, max_degree):
+    """The full search: the nullspace of the rows of every simple cycle of
+    every cover of every degree up to max_degree."""
+    from anabel.intlin import nullspace
+
+    edges = G.real_edges()
+    index = {e: i for i, e in enumerate(edges)}
+    rows = set()
+    for d in range(1, max_degree + 1):
+        for cover in enumerate_covers(G, d):
+            for cycle in cover.total.simple_cycles():
+                row = [0] * len(edges)
+                for te in cycle:
+                    row[index[cover.edge_map[te]]] += 1
+                if any(row):
+                    rows.add(tuple(row))
+    basis = nullspace(sorted(rows), len(edges))
+    return [{e: vec[i] for e, i in index.items()} for vec in basis]
+
+
+def _random_connected_graph(rng):
+    """A connected graph of cycle rank at most 3: a random tree on 1-4
+    vertices, plus loops, cusps and parallel edges, so that some vertices
+    have arity 1 or 2."""
+    vs = [f"v{i}" for i in range(rng.randint(1, 4))]
+    edges = {f"t{i}": (vs[rng.randrange(i)], vs[i]) for i in range(1, len(vs))}
+    rank = 0
+    for k in range(rng.randint(0, 4)):
+        u, w = rng.choice(vs), rng.choice(vs)
+        if rng.random() < 0.3:
+            edges[f"c{k}"] = (u,)
+        elif rank < 3:
+            edges[f"x{k}"] = (u, u) if rng.random() < 0.3 else (u, w)
+            rank += 1
+    return BranchGraph(vs, edges)
+
+
+def test_rigidity_kernel_matches_full_enumeration():
+    rng = random.Random(SEED)
+    nontrivial = 0
+    for _ in range(150):
+        G = _random_connected_graph(rng)
+        for max_degree in (1, 2, 3):
+            basis, warnings = rigidity_kernel(G, max_degree)
+            assert basis == _reference_rigidity_kernel(G, max_degree)
+            assert bool(warnings) == any(G.arity(v) < 3 for v in G.vertices)
+        nontrivial += bool(basis)
+    assert nontrivial >= 50
+
+
+def test_rigidity_search_stops_at_full_rank(monkeypatch):
+    # theta's own three cycles already span Q^3, so no cover past the
+    # degree-1 cover is built or walked
+    walked = []
+    degrees = []
+    simple_cycles = BranchGraph.simple_cycles
+    monkeypatch.setattr(BranchGraph, "simple_cycles",
+                        lambda self: walked.append(self) or simple_cycles(self))
+    monkeypatch.setattr("anabel.graphs.enumerate_covers",
+                        lambda G, d: degrees.append(d) or enumerate_covers(G, d))
+    assert rigidity_kernel(theta(), 3) == ([], [])
+    assert len(walked) == 1 and degrees == [1]
+    monkeypatch.undo()
+    start = time.perf_counter()
+    assert rigidity_kernel(theta(), 8) == ([], [])
+    assert time.perf_counter() - start < 1.0

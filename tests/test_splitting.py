@@ -1,3 +1,4 @@
+import math
 from fractions import Fraction
 
 import pytest
@@ -80,6 +81,24 @@ def test_fiber_count_matches_recursion_sweep():
             for num in range(0, 41):
                 v = F(num, 4)
                 assert fiber_count(p, h, v) == fiber_count_recursive(p, h, v)
+
+
+def _reference_band(p, h, v):
+    """The band and the boundary flag from their definitions, in Fractions."""
+    t = v - F(1, p - 1)
+    band = 0 if t < 1 else min(h, math.floor(t))
+    return band, 1 <= t <= h and t.denominator == 1
+
+
+def test_bands_match_fraction_definition():
+    values = sorted({F(k, q) for q in range(1, 25) for k in range(0, 14 * q + 1)})
+    for p in (2, 3, 5, 7, 11):
+        for h in range(1, 7):
+            for v in values:
+                assert (fiber_count(p, h, v), band_boundary_flag(p, h, v)) == \
+                    _reference_band(p, h, v)
+    # an int valuation is read as the rational it is
+    assert (fiber_count(3, 4, 3), band_boundary_flag(3, 4, 3)) == _reference_band(3, 4, F(3))
 
 
 def test_fiber_count_monotone_and_bounded():
