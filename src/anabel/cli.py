@@ -97,6 +97,12 @@ def cmd_verify_rigidity(args) -> int:
     return 0 if not basis else 1
 
 
+def _base_cell(complex_, base):
+    if not complex_.cells:
+        raise InputError("complex has no cells, so pi1 has no base point")
+    return min(complex_.cells) if base is None else base
+
+
 def cmd_pi1(args) -> int:
     kind, obj = _load_document(
         args.input, expect=("graph-of-groups", "polysimplicial")
@@ -108,8 +114,7 @@ def cmd_pi1(args) -> int:
     else:
         from .poly_ops import category_pi1
 
-        base = sorted(obj.cells)[0] if args.base is None else args.base
-        pres = category_pi1(obj, base).simplify()
+        pres = category_pi1(obj, _base_cell(obj, args.base)).simplify()
     lines = [f"presentation = {pres.describe()}"]
     mlines = [
         f"generators={','.join(pres.generators) if pres.generators else '-'}",
@@ -130,8 +135,7 @@ def cmd_abelianize(args) -> int:
     else:
         from .poly_ops import category_pi1
 
-        base = sorted(obj.cells)[0] if args.base is None else args.base
-        ab = category_pi1(obj, base).abelianization()
+        ab = category_pi1(obj, _base_cell(obj, args.base)).abelianization()
     _emit(
         [f"abelianization = {ab}"],
         [f"free={ab.free_rank} torsion={','.join(str(d) for d in ab.torsion) or '-'}"],

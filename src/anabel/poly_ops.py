@@ -511,25 +511,23 @@ def find_isomorphism(A: PolysimplicialSet, B: PolysimplicialSet) -> Optional[Pol
 # ---------------------------------------------------------------------------
 
 
-def _nondeg_objects(C: PolysimplicialSet) -> List[Element]:
-    objs = []
-    for c in sorted(C.cells):
-        n = C.cells[c]
-        seen = set()
-        for theta in automorphisms(n):
-            e = C.canonical(Element(c, theta))
-            if e not in seen:
-                seen.add(e)
-                objs.append(e)
-    return objs
-
-
 def category_pi1(C: PolysimplicialSet, base_cell: str) -> GroupPresentation:
     """Presentation of pi1 of the localized cell category.
 
     Objects are the nondegenerate polysimplexes, morphisms the injective
     restrictions between them; the composition triangles are the
     relations, collapsed along a spanning tree rooted at the base cell.
+
+    The presentation is built on a skeleton: one object per cell, the
+    normal form r_c of (c, identity), and every morphism between these
+    objects, the automorphisms of r_c in the stabilizer of c included.
+    Each nondegenerate (c, theta) is isomorphic to r_c through theta, so
+    this full subcategory meets every isomorphism class and is equivalent
+    to the whole category. Equivalent categories have homotopy-equivalent
+    nerves (Quillen, Higher algebraic K-theory I, LNM 341, 1973, section 1),
+    so pi1 is unchanged. Composites stay in the subcategory, because
+    act(r, g2 . g1) = act(act(r, g2), g1). Generator m<k> names the k-th
+    morphism of the skeleton.
     """
     pres, tree_edges = _category_presentation(C, base_cell)
     return pres.kill_generators(tree_edges)
@@ -538,23 +536,21 @@ def category_pi1(C: PolysimplicialSet, base_cell: str) -> GroupPresentation:
 def _category_presentation(
     C: PolysimplicialSet, base_cell: str
 ) -> Tuple[GroupPresentation, List[int]]:
-    """One generator per morphism, one relator per composable pair, and the
-    0-based generators of a breadth-first spanning tree from the base cell."""
+    """One generator per morphism of the skeleton, one relator per
+    composable pair, and the 0-based generators of a breadth-first spanning
+    tree from the base cell."""
     if base_cell not in C.cells:
         raise ValueError(f"unknown base cell {base_cell}")
-    objs = _nondeg_objects(C)
+    cells = sorted(C.cells)
+    objs = [C.canonical(Element(c, identity(C.cells[c]))) for c in cells]
     obj_index = {e: i for i, e in enumerate(objs)}
     morphisms: List[Tuple[int, int, LambdaMorphism]] = []
     for b, eb in enumerate(objs):
         n = eb.level
         for gamma in injections_into(n):
-            got = C.act(eb, gamma)
-            if not got.is_nondegenerate():
-                continue
-            a = obj_index.get(got)
-            if a is None:
-                continue
-            if a == b and gamma == identity(n):
+            # a degenerate value is never a representative
+            a = obj_index.get(C.act(eb, gamma))
+            if a is None or (a == b and gamma == identity(n)):
                 continue
             morphisms.append((a, b, gamma))
     morphisms.sort(key=lambda t: (t[0], t[1], t[2].key()))
@@ -566,7 +562,7 @@ def _category_presentation(
         incident[a].append((k, b))
         incident[b].append((k, a))
         outgoing[a].append(k)
-    base_obj = obj_index[C.canonical(Element(base_cell, identity(C.cells[base_cell])))]
+    base_obj = cells.index(base_cell)
     seen = {base_obj}
     queue = deque([base_obj])
     tree_edges: List[int] = []

@@ -145,6 +145,16 @@ def test_graph_without_vertices_has_no_covers(tmp_path, command):
     assert proc.stdout == "current group = 0\nbasis currents = 0\n"
 
 
+@pytest.mark.parametrize("command", ["pi1", "abelianize"])
+def test_complex_without_cells_has_no_pi1(tmp_path, command):
+    doc = tmp_path / "empty.poly"
+    doc.write_text("kind = polysimplicial\n")
+    proc = run_cli([command, "--input", str(doc)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "input error: complex has no cells, so pi1 has no base point\n"
+
+
 def test_disconnected_graph_has_no_cover_enumeration(tmp_path):
     doc = tmp_path / "two.graph"
     doc.write_text("kind = graph\nvertices = u v\nedge a = u u\n")

@@ -28,7 +28,6 @@ from anabel.poly_ops import (
     CellFunctor,
     PolyMorphism,
     _category_presentation,
-    _nondeg_objects,
     box_extend,
     category_pi1,
     coequalizer,
@@ -37,6 +36,8 @@ from anabel.poly_ops import (
     is_cospec_iso,
     quotient,
 )
+
+from category_reference import all_objects_presentation, nondeg_objects
 
 
 def test_index_validation():
@@ -352,6 +353,13 @@ def make_fold():
     ).complex
 
 
+def make_rotation_quotient():
+    """Lambda(2) modulo the rotation of its vertices: stabilizer Z/3."""
+    L2 = representable((2,))
+    rot = next(g for g in automorphisms((2,)) if g.mapping == ((1,), (2,), (0,)))
+    return quotient(L2, [(L2.cell_element("s012"), Element("s012", rot))]).complex
+
+
 def test_coequalizer_circle():
     circle = make_circle()
     assert {k: len(v) for k, v in circle.nondegenerate_cells().items()} == {
@@ -513,17 +521,25 @@ def test_category_pi1_circle():
 
 
 def test_category_pi1_lambda3_is_trivial():
-    # 1884 morphisms and 45852 composition relators; with one full
-    # re-canonicalization per elimination this ran for over a minute
+    # on all nondegenerate polysimplexes: 1884 morphisms and 45852
+    # composition relators; the skeleton has 50 morphisms and 60 relators
     L3 = representable((3,))
     assert category_pi1(L3, min(L3.cells)).abelianization().is_trivial
 
 
-def _reference_category_parts(C, base_cell):
-    """Relators and spanning tree as category_pi1 first built them: a
-    breadth-first search that rescans every morphism for each node, and an
-    all-pairs scan for the composable pairs."""
-    objs = _nondeg_objects(C)
+@pytest.mark.parametrize("n", [(2, 2), (3, 1)])
+def test_category_pi1_of_larger_representables_is_trivial(n):
+    # Lambda(2,2) has 28404 morphisms and 2143404 composition relators on
+    # all nondegenerate polysimplexes; its skeleton 312 and 696
+    L = representable(n)
+    pres = category_pi1(L, min(L.cells))
+    assert pres.generators == [] and pres.relators == []
+
+
+def _reference_category_parts(C, objs, base_cell):
+    """Relators and spanning tree on the objects objs as category_pi1 first
+    built them: a breadth-first search that rescans every morphism for each
+    node, and an all-pairs scan for the composable pairs."""
     obj_index = {e: i for i, e in enumerate(objs)}
     morphisms = []
     for b, eb in enumerate(objs):
@@ -561,14 +577,18 @@ def _reference_category_parts(C, base_cell):
 
 def test_category_presentation_matches_all_pairs_construction():
     shapes = [representable((1,)), representable((2,)), representable((1, 1)),
-              make_circle(), make_fold(), make_wedge()]
+              make_circle(), make_fold(), make_wedge(), make_rotation_quotient()]
     for C in shapes:
+        skeleton = [C.canonical(Element(c, identity(C.cells[c]))) for c in sorted(C.cells)]
         for base in sorted(C.cells):
-            pres, tree = _category_presentation(C, base)
-            n, relators, want_tree = _reference_category_parts(C, base)
-            assert pres.generators == [f"m{k}" for k in range(n)]
-            assert pres.relators == relators
-            assert tree == want_tree
+            for (pres, tree), objs in [
+                (_category_presentation(C, base), skeleton),
+                (all_objects_presentation(C, base), nondeg_objects(C)),
+            ]:
+                n, relators, want_tree = _reference_category_parts(C, objs, base)
+                assert pres.generators == [f"m{k}" for k in range(n)]
+                assert pres.relators == relators
+                assert tree == want_tree
 
 
 def make_wedge():

@@ -5,6 +5,7 @@ functoriality along generators, against the all-pairs check; and one of
 `find_isomorphism`, which prunes by face checks, against the search that
 did not."""
 
+import itertools
 import os
 import random
 
@@ -26,6 +27,7 @@ from anabel.poly import (
 from anabel.cospec import cospec_polysimplicial
 from anabel.poly_ops import (
     PolyMorphism,
+    category_pi1,
     coequalizer,
     compose_poly,
     find_isomorphism,
@@ -33,14 +35,21 @@ from anabel.poly_ops import (
     quotient,
 )
 
+from category_reference import all_objects_pi1
+
 SEED = int(os.environ.get("ANABEL_SEED", "0"))
 
 
-def test_rotation_fold_of_2_simplex():
+def _rotation_quotient():
+    """Lambda(2) modulo the rotation of its vertices: stabilizer Z/3."""
     L2 = representable((2,))
     rot = [g for g in automorphisms((2,)) if g.mapping == ((1,), (2,), (0,))][0]
     top = [c for c in L2.cells if L2.cells[c] == (2,)][0]
-    Q = quotient(L2, [(L2.cell_element(top), Element(top, rot))]).complex
+    return quotient(L2, [(L2.cell_element(top), Element(top, rot))]).complex
+
+
+def test_rotation_fold_of_2_simplex():
+    Q = _rotation_quotient()
     counts = {k: len(v) for k, v in Q.nondegenerate_cells().items()}
     assert counts == {(0,): 1, (1,): 1, (2,): 1}
     top_q = [c for c in Q.cells if Q.cells[c] == (2,)][0]
@@ -261,6 +270,65 @@ def test_generator_validation_matches_all_pairs_reference():
                 disagreements.append((i, what, verdicts))
     assert not disagreements
     assert rejected >= len(pool)
+
+
+def _homs_into_symmetric(pres, n):
+    """The number of homomorphisms from the presented group into S_n: the
+    assignments of permutations to generators under which every relator is
+    the identity."""
+    perms = list(itertools.permutations(range(n)))
+    index = {p: i for i, p in enumerate(perms)}
+    mult = [[index[tuple(p[q[k]] for k in range(n))] for q in perms] for p in perms]
+    inv = [index[tuple(sorted(range(n), key=p.__getitem__))] for p in perms]
+    one = index[tuple(range(n))]
+    count = 0
+    for images in itertools.product(range(len(perms)), repeat=len(pres.generators)):
+        ok = True
+        for rel in pres.relators:
+            x = one
+            for t in rel:
+                x = mult[x][images[t - 1] if t > 0 else inv[images[-t - 1]]]
+            if x != one:
+                ok = False
+                break
+        count += ok
+    return count
+
+
+def test_category_pi1_matches_all_objects_reference():
+    # the skeleton (one object per cell) against all nondegenerate
+    # polysimplexes: equivalent categories, so isomorphic groups; the
+    # abelianization and the numbers of homomorphisms into S3 and S4 are
+    # isomorphism invariants
+    rng = random.Random(SEED)
+    pool = [representable(n) for n in [(0,), (1,), (2,), (1, 1)]]
+    pool += [_circle()] + [_random_polygon(rng, rng.randint(2, 4)) for _ in range(3)]
+    corpus = pool + [_fold(), _rotation_quotient()]
+    for _ in range(14):
+        A, B = rng.choice(pool), rng.choice(pool)
+        # the all-objects reference is too slow on boxes of dimension 3
+        if rng.random() < 0.7 and A.dim() + B.dim() <= 2:
+            corpus.append(box_product(A, B))
+        else:
+            corpus.append(disjoint_union(A, B))
+    connected = 0
+    for C in corpus:
+        base = min(C.cells)
+        try:
+            want = all_objects_pi1(C, base)
+        except ValueError as exc:
+            assert str(exc) == "complex is disconnected"
+            with pytest.raises(ValueError, match="complex is disconnected"):
+                category_pi1(C, base)
+            continue
+        connected += 1
+        got = category_pi1(C, base)
+        assert got.abelianization() == want.abelianization()
+        got, want = got.simplify(), want.simplify()
+        assert _homs_into_symmetric(got, 3) == _homs_into_symmetric(want, 3)
+        if max(len(got.generators), len(want.generators)) <= 3:
+            assert _homs_into_symmetric(got, 4) == _homs_into_symmetric(want, 4)
+    assert connected >= 10
 
 
 def _reference_find_isomorphism(A, B):

@@ -8,11 +8,12 @@ from anabel.intlin import FgAbGroup
 from anabel.poly import box_product, disjoint_union, representable
 from anabel.poly_ops import (
     PolyMorphism,
-    _category_presentation,
     coequalizer,
     quotient,
 )
 from anabel.presentations import GroupPresentation, free_reduce, invert_word
+
+from category_reference import all_objects_presentation
 
 
 def test_free_reduce():
@@ -230,9 +231,11 @@ SHAPES = {
 
 @pytest.mark.parametrize("name", list(SHAPES))
 def test_simplify_matches_reference_on_category_presentations(name):
+    # the all-objects presentations: larger than category_pi1's, so they
+    # exercise more of simplify
     C = SHAPES[name]()
-    pres, tree = _category_presentation(C, min(C.cells))
-    # category_pi1 returns raw.simplify()
+    pres, tree = all_objects_presentation(C, min(C.cells))
+    # all_objects_pi1 returns raw.simplify()
     raw = GroupPresentation(pres.generators, pres.relators + [(k + 1,) for k in tree])
     if name == "L21":
         # 1530 generators and 22457 relators: the reference takes minutes
