@@ -68,6 +68,8 @@ def concat_index(a: PolyIndex, b: PolyIndex) -> PolyIndex:
 _INTERNED: Dict[Tuple, "LambdaMorphism"] = {}
 # (second.id, first.id) -> second after first
 _COMPOSITES: Dict[Tuple[int, int], "LambdaMorphism"] = {}
+# checked index -> its identity
+_IDENTITIES: Dict[PolyIndex, "LambdaMorphism"] = {}
 
 
 class LambdaMorphism:
@@ -182,8 +184,14 @@ def compose(second: LambdaMorphism, first: LambdaMorphism) -> LambdaMorphism:
 
 
 def identity(n: PolyIndex) -> LambdaMorphism:
+    """The identity of [n]; the index is checked on a memo miss only."""
+    try:
+        return _IDENTITIES[n]
+    except (KeyError, TypeError):  # TypeError: an unhashable sequence
+        pass
     n = check_index(n)
-    return LambdaMorphism(n, n, points(n), _checked=True)
+    out = _IDENTITIES[n] = LambdaMorphism(n, n, points(n), _checked=True)
+    return out
 
 
 def structure_of(gamma: LambdaMorphism):
@@ -433,8 +441,9 @@ class PolysimplicialSet:
         validate: bool = True,
     ):
         self.cells = {c: check_index(n) for c, n in sorted(cells.items())}
-        self.stabs = {c: frozenset(stabs.get(c, [identity(self.cells[c])]))
-                      for c in self.cells}
+        self.stabs = {c: frozenset(stabs[c]) if c in stabs
+                      else frozenset([identity(n)])
+                      for c, n in self.cells.items()}
         self.faces = dict(faces)
         # keyed on (cell, epi id) and (cell, epi id, gamma id)
         self._canon_cache: Dict[Tuple[str, int], Element] = {}
@@ -676,7 +685,18 @@ def _box_injection(box, n: PolyIndex) -> LambdaMorphism:
 
 
 def representable(n: Sequence[int]) -> PolysimplicialSet:
-    """The polysimplicial set Lambda[n]: cells are the sub-boxes of [n]."""
+    """The polysimplicial set Lambda[n]: cells are the sub-boxes of [n].
+
+    Valid by construction, so it is built without `validate`. The elements
+    of Lambda[n] at level [k] are the morphisms [k] -> [n], and the cell of
+    a sub-box b is its canonical embedding e_b. An injection into [n] has
+    a sub-box as its image and factors uniquely as e_b after an iso, so
+    each face entry, the factorization of e_c*iota through the sub-box of
+    its image, is a normal element of lower dimension, and the act of the
+    tables is composition of morphisms, which is functorial. Distinct
+    automorphisms give distinct morphisms e_c*theta, so every stabilizer
+    is trivial: a subgroup, and coherence holds vacuously.
+    """
     n = check_index(n)
     boxes = _boxes_of(n)
     cells = {}
@@ -709,7 +729,7 @@ def representable(n: Sequence[int]) -> PolysimplicialSet:
             )
             faces[(cid, iota)] = Element(tgt, theta)
     stabs = {cid: frozenset([identity(idx)]) for cid, idx in cells.items()}
-    return PolysimplicialSet(cells, stabs, faces)
+    return PolysimplicialSet(cells, stabs, faces, validate=False)
 
 
 def poly_point() -> PolysimplicialSet:
@@ -717,6 +737,13 @@ def poly_point() -> PolysimplicialSet:
 
 
 def disjoint_union(A: PolysimplicialSet, B: PolysimplicialSet) -> PolysimplicialSet:
+    """A + B, with the cells of A renamed L.c and those of B R.c.
+
+    Valid by construction when A and B are, so it is built without
+    `validate`: the stabilizers are copied, and every face entry stays
+    inside its summand, so act on an L. or R. element is act in A or B
+    under the renaming, and the checks hold because they hold there.
+    """
     cells = {}
     stabs = {}
     faces = {}
@@ -726,7 +753,7 @@ def disjoint_union(A: PolysimplicialSet, B: PolysimplicialSet) -> Polysimplicial
             stabs[f"{tag}.{c}"] = X.stabs[c]
         for (c, iota), e in X.faces.items():
             faces[(f"{tag}.{c}", iota)] = Element(f"{tag}.{e.cell}", e.epi)
-    return PolysimplicialSet(cells, stabs, faces)
+    return PolysimplicialSet(cells, stabs, faces, validate=False)
 
 
 def _pair_id(a: str, b: str) -> str:
@@ -778,19 +805,38 @@ def _sorting_iso(raw: PolyIndex) -> LambdaMorphism:
 
 
 def box_product(A: PolysimplicialSet, B: PolysimplicialSet) -> PolysimplicialSet:
-    """Cellwise concatenation product: cells are pairs, indices concatenate."""
+    """Cellwise concatenation product: cells are pairs, indices concatenate.
+
+    Valid by construction when A and B are, so it is built without
+    `validate`. A morphism g into [na ++ nb] is a pair (ga, gb) into [na]
+    and [nb] whose tracked source coordinates are disjoint, and g*h splits
+    as (ga*h, gb*h). The cell (ca, cb) is read through the sorting iso rho
+    from its canonical index onto [na ++ nb]; its face along iota is
+    (act(ca, ga), act(cb, gb)) for (ga, gb) the split of rho*iota, joined
+    and read back through the sorting iso of the target pair. The joined
+    epi is surjective, as both factor epis are and they read disjoint
+    coordinates, and of no larger dimension than iota's source. So act on
+    the product is act on each factor, which is functorial because A and
+    B are. The automorphisms of [na ++ nb] that fix (ca, cb) are the
+    blockwise pairs (ta, tb) of factor stabilizer elements: one that
+    swaps a coordinate of the A block with one of the B block changes
+    which coordinates the A part reads. So the stabilizer is the product
+    of the factor stabilizers conjugated by rho, a subgroup, and a face
+    entry along theta*iota is the pair of factor entries along ta*ga and
+    tb*gb, which are coherent in A and B.
+    """
     cells = {}
     stabs = {}
     faces = {}
     sorters = {}
+    unsort = {}
     for ca, na in A.cells.items():
         for cb, nb in B.cells.items():
             cid = _pair_id(ca, cb)
             raw = concat_index(na, nb)
-            rho = _sorting_iso(raw)
-            sorters[cid] = rho
+            rho = sorters[cid] = _sorting_iso(raw)
             cells[cid] = canonical_index(raw)
-            rho_inv = rho.inverse()
+            rho_inv = unsort[cid] = rho.inverse()
             stab = set()
             for ta in A.stabs[ca]:
                 for tb in B.stabs[cb]:
@@ -798,7 +844,9 @@ def box_product(A: PolysimplicialSet, B: PolysimplicialSet) -> PolysimplicialSet
                     stab.add(compose(rho_inv, compose(joint, rho)))
             stabs[cid] = frozenset(stab)
     for ca, na in A.cells.items():
+        xa = A.cell_element(ca)
         for cb, nb in B.cells.items():
+            xb = B.cell_element(cb)
             cid = _pair_id(ca, cb)
             raw = concat_index(na, nb)
             rho = sorters[cid]
@@ -807,13 +855,13 @@ def box_product(A: PolysimplicialSet, B: PolysimplicialSet) -> PolysimplicialSet
                     continue
                 comp = compose(rho, iota)
                 ga, gb = _split_morphism(comp, raw, na, nb)
-                ea = A.act(A.cell_element(ca), ga)
-                eb = B.act(B.cell_element(cb), gb)
+                ea = A.act(xa, ga)
+                eb = B.act(xb, gb)
                 tgt = _pair_id(ea.cell, eb.cell)
                 joined = _join_epis(ea.epi, eb.epi)
-                epi = compose(sorters[tgt].inverse(), joined)
+                epi = compose(unsort[tgt], joined)
                 faces[(cid, iota)] = Element(tgt, epi)
-    return PolysimplicialSet(cells, stabs, faces)
+    return PolysimplicialSet(cells, stabs, faces, validate=False)
 
 
 def _join_isos(ta, tb, na, nb, raw) -> LambdaMorphism:

@@ -8,6 +8,7 @@ did not."""
 import itertools
 import os
 import random
+from pathlib import Path
 
 import pytest
 
@@ -25,6 +26,7 @@ from anabel.poly import (
     representable,
 )
 from anabel.cospec import cospec_polysimplicial
+from anabel.documents import load
 from anabel.poly_ops import (
     PolyMorphism,
     category_pi1,
@@ -122,14 +124,18 @@ def _random_polygon(rng, n):
 
 
 def test_constructor_corpus_validates_deeply():
-    # every constructor output is deep-validated, on top of the shallow
-    # validation each construction runs
+    # representable, disjoint_union and box_product build without
+    # validate; every complex they return here is checked deeply and by
+    # the all-pairs reference. The rotation quotient (stabilizer Z/3) and
+    # the fold (Z/2) give products with nontrivial stabilizers.
     rng = random.Random(SEED)
-    pool = [representable(n) for n in [(0,), (1,), (2,), (1, 1)]]
-    pool += [_circle()] + [_random_polygon(rng, rng.randint(2, 4)) for _ in range(3)]
-    for C in pool[4:]:
+    built = [representable(n) for n in [(0,), (1,), (2,), (1, 1)]]
+    quotients = [_circle()] + [_random_polygon(rng, rng.randint(2, 4)) for _ in range(3)]
+    for C in quotients:
         C.validate(deep=True)
         assert C.euler_characteristic() == 0
+    rotation, fold = _rotation_quotient(), _fold()
+    pool = built + quotients + [rotation, fold]
     for _ in range(16):
         A, B = rng.choice(pool), rng.choice(pool)
         if rng.random() < 0.7 and A.dim() + B.dim() <= 3:
@@ -142,7 +148,45 @@ def test_constructor_corpus_validates_deeply():
             assert len(P.cells) == len(A.cells) + len(B.cells)
             assert (P.euler_characteristic()
                     == A.euler_characteristic() + B.euler_characteristic())
+        built.append(P)
+    # every union, and every product of dimension <= 3, of six shapes:
+    # the two above, the circle, Lambda(0), Lambda(1) and Lambda(2)
+    shapes = [rotation, fold, quotients[0]] + built[:3]
+    for A in shapes:
+        for B in shapes:
+            built.append(disjoint_union(A, B))
+            if A.dim() + B.dim() <= 3:
+                built.append(box_product(A, B))
+    for P in built:
         P.validate(deep=True)
+        _reference_validate(P)
+
+
+def test_only_trust_boundaries_validate(monkeypatch):
+    # complexes the library builds from valid ones are valid by
+    # construction; the public constructor, the colimits and the document
+    # loader still validate
+    L1, L2, fold = representable((1,)), representable((2,)), _fold()
+    calls = []
+    real = PolysimplicialSet.validate
+
+    def counting(self, deep=False):
+        calls.append(self)
+        return real(self, deep)
+
+    monkeypatch.setattr(PolysimplicialSet, "validate", counting)
+    box_product(disjoint_union(representable((0,)), L2), box_product(fold, L1))
+    assert calls == []
+    torus = (Path(__file__).parent / "data" / "torus.poly").read_text()
+    for build in [
+        lambda: PolysimplicialSet(L1.cells, L1.stabs, L1.faces),
+        lambda: quotient(L1, [(L1.cell_element("s0"), L1.cell_element("s1"))]),
+        _circle,  # a coequalizer
+        lambda: load(torus),
+    ]:
+        calls.clear()
+        build()
+        assert calls
 
 
 def _reference_validate(C):
