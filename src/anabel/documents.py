@@ -313,6 +313,29 @@ def _parse_morphism(tokens: Sequence[str]) -> LambdaMorphism:
     return LambdaMorphism(src, tgt, mapping)
 
 
+# Loading enumerates the injections into every cell's index; an index at
+# this bound takes about 2 s.
+MAX_INJECTIONS = 100_000
+
+
+def _injection_bound(n) -> int:
+    """An upper bound on the injections into [n], or MAX_INJECTIONS + 1
+    once past it. An injection puts an injective value table of length 1
+    (a constant) to n_l + 1 on each target coordinate l, and matches the
+    tracked coordinates with source coordinates in one of at most width!
+    ways."""
+    bound = 1
+    for k, x in enumerate(n, 1):
+        tables, run = 0, 1
+        for v in range(x + 1, 0, -1):
+            run *= v
+            tables += run
+            if bound * k * tables > MAX_INJECTIONS:
+                return MAX_INJECTIONS + 1
+        bound *= k * tables
+    return bound
+
+
 def load_polysimplicial(node: Node) -> PolysimplicialSet:
     from .poly import Element, PolysimplicialSet, identity
 
@@ -320,7 +343,11 @@ def load_polysimplicial(node: Node) -> PolysimplicialSet:
     for key, val in node.scalars("cell"):
         if len(key) != 2:
             raise DocumentError("cell entries look like: cell <id> = n1,n2")
-        cells[key[1]] = _parse_index(_need(val, 1, "cell <id> = n1,n2")[0])
+        n = cells[key[1]] = _parse_index(_need(val, 1, "cell <id> = n1,n2")[0])
+        if _injection_bound(n) > MAX_INJECTIONS:
+            raise DocumentError(f"cell {key[1]} = {_index_token(n)} is too large: the "
+                                f"injections into its index may exceed the limit of "
+                                f"{MAX_INJECTIONS}")
     stabs = {}
     for key, val in node.scalars("stab"):
         if len(key) != 2:

@@ -5,10 +5,13 @@ An index is a tuple n = (n0, ..., np), either (0,) or with every entry
 the functions [m] -> [n] induced by a triple (J, f, alpha): every target
 coordinate is either constant or reads exactly one source coordinate
 through an injection, and distinct target coordinates read distinct source
-coordinates. There is one interned object per function, so equality of
-morphisms is identity; the triple is only a constructor. Each morphism
-caches its triple, its epi-mono factorization and whether it is an
-isomorphism, and composition is memoized on the pair of morphism ids.
+coordinates. Each morphism is stored as its triple, which determines the
+function, so there is one interned object per function and equality of
+morphisms is identity. Composition, factorization and the constructors
+below work on triples; the point table is built only where it is read:
+for the order of morphisms, their hash, and documents. Each morphism
+caches its epi-mono factorization and whether it is an isomorphism, and
+composition is memoized on the pair of morphism ids.
 
 A finite polysimplicial set is stored in Eilenberg-Zilber normal form:
 one cell per isomorphism class of nondegenerate polysimplexes, the
@@ -62,105 +65,128 @@ def concat_index(a: PolyIndex, b: PolyIndex) -> PolyIndex:
     return parts if parts else (0,)
 
 
-# One object per function: key() -> its morphism. Only functions known to
-# lie in the category enter, so a rejected function is derived, and raises,
-# every time it is presented; entries are never removed, so `id` stays unique.
+# One object per triple: (source, target, structure) -> its morphism. Only
+# triples of the category enter, so a rejected function is derived, and
+# raises, every time it is presented; entries are never removed, so `id`
+# stays unique.
 _INTERNED: Dict[Tuple, "LambdaMorphism"] = {}
 # (second.id, first.id) -> second after first
 _COMPOSITES: Dict[Tuple[int, int], "LambdaMorphism"] = {}
 # checked index -> its identity
 _IDENTITIES: Dict[PolyIndex, "LambdaMorphism"] = {}
+# the structure of a morphism into [(0,)]
+_TO_POINT = (("const", 0),)
 
 
 class LambdaMorphism:
-    """A morphism of the index category, stored as its induced function.
+    """A morphism [m] -> [n] of the index category, stored as its triple.
 
-    There is one interned object per function (source, target, mapping), so
-    equality is identity. Each object has a small integer `id`, keeps the
-    hash of key(), and caches its structure, its epi-mono factorization and
-    whether it is an isomorphism.
+    `structure` has one entry per target coordinate: ("const", v), or
+    ("track", j, alpha) when the coordinate reads source coordinate j
+    through the injective value table alpha. The triple is a faithful key
+    of the function: a coordinate is constant exactly when the function is
+    constant on it, and a tracked table is injective with at least two
+    entries, so the coordinate varies with exactly one source coordinate,
+    and that coordinate and its table are read off the function. So there
+    is one interned object per function, and equality is identity.
+
+    Each object has a small integer `id`. Its point table `mapping` is
+    built the first time it is read; key(), the order and the hash are
+    those of (source, target, mapping), so sorted and hashed collections
+    of morphisms do not depend on the stored form. The constructor takes
+    a point table, checks it and derives its triple; it is the one place
+    that turns a function into a triple, and documents and pickles go
+    through it. Each object caches its epi-mono factorization and whether
+    it is an isomorphism.
     """
 
-    __slots__ = ("source", "target", "mapping", "id", "_key", "_hash",
-                 "_structure", "_factors", "_iso")
+    __slots__ = ("source", "target", "structure", "id", "_key", "_hash",
+                 "_factors", "_iso")
 
-    def __new__(cls, source, target, mapping: Sequence[Point], _checked=False):
-        if _checked:
-            # trusted construction inside this module: checked indices, point
-            # tuples, and a function already known to lie in the category
-            key = (source, target, tuple(mapping))
-            hit = _INTERNED.get(key)
-            return hit if hit is not None else _intern(key, None)
+    def __new__(cls, source, target, mapping: Sequence[Point]):
         source, target = check_index(source), check_index(target)
         mapping = tuple(tuple(p) for p in mapping)
         if len(mapping) != len(points(source)):
             raise ValueError("mapping length does not match the source")
-        key = (source, target, mapping)
-        hit = _INTERNED.get(key)
-        if hit is None:
-            tpos = point_pos(target)
-            bad = next((p for p in mapping if p not in tpos), None)
-            if bad is not None:
-                raise ValueError(f"image point {bad} is not a point of {target}")
-            # raises if the function is not in the category
-            return _intern(key, _derive_structure(source, target, mapping))
-        structure_of(hit)
-        return hit
+        tpos = point_pos(target)
+        bad = next((p for p in mapping if p not in tpos), None)
+        if bad is not None:
+            raise ValueError(f"image point {bad} is not a point of {target}")
+        # raises if the function is not in the category
+        return _morphism(source, target, _derive_structure(source, target, mapping))
 
     def __reduce__(self):
-        # copies and unpickled objects go through the intern table
-        return (LambdaMorphism, self._key)
+        # copies and unpickled objects go through the constructor
+        return (LambdaMorphism, self.key())
 
-    def __call__(self, p: Point) -> Point:
-        return self.mapping[point_pos(self.source)[p]]
+    @property
+    def mapping(self) -> Tuple[Point, ...]:
+        return self.key()[2]
 
     def key(self):
-        return self._key
+        key = self._key
+        if key is None:
+            pts = points(self.source)
+            columns = [(e[1],) * len(pts) if e[0] == "const"
+                       else [e[2][p[e[1]]] for p in pts]
+                       for e in self.structure]
+            key = self._key = (self.source, self.target, tuple(zip(*columns)))
+        return key
 
     def __hash__(self):
-        return self._hash
+        h = self._hash
+        if h is None:
+            h = self._hash = hash(self.key())
+        return h
 
     def __lt__(self, other):
-        return self._key < other._key
+        return self.key() < other.key()
 
     def __repr__(self):
         return f"Lambda({self.source}->{self.target})"
 
     def is_injective(self) -> bool:
-        return len(set(self.mapping)) == len(self.mapping)
+        # injective exactly when every source coordinate is read
+        reads = sum(e[0] == "track" for e in self.structure)
+        return reads == (0 if self.source == (0,) else len(self.source))
 
     def is_surjective(self) -> bool:
-        return len(set(self.mapping)) == len(points(self.target))
+        # the image is the product of the coordinate images
+        return self.target == (0,) or all(
+            e[0] == "track" and len(e[2]) == x + 1
+            for e, x in zip(self.structure, self.target))
 
     def is_iso(self) -> bool:
         iso = self._iso
         if iso is None:
-            iso = self._iso = (
-                len(points(self.source)) == len(points(self.target))
-                and self.is_injective()
-            )
+            iso = self._iso = self.is_injective() and self.is_surjective()
         return iso
 
     def inverse(self) -> "LambdaMorphism":
         if not self.is_iso():
             raise ValueError("not invertible")
-        inv = {img: p for p, img in zip(points(self.source), self.mapping)}
-        return LambdaMorphism(
-            self.target, self.source, [inv[p] for p in points(self.target)],
-            _checked=True,
-        )
+        if self.source == (0,):
+            return self
+        # every coordinate is tracked, by a permutation
+        inv = [None] * len(self.source)
+        for l, (_, j, alpha) in enumerate(self.structure):
+            back = [0] * len(alpha)
+            for a, v in enumerate(alpha):
+                back[v] = a
+            inv[j] = ("track", l, tuple(back))
+        return _morphism(self.target, self.source, tuple(inv))
 
 
-def _intern(key, structure) -> LambdaMorphism:
-    g = object.__new__(LambdaMorphism)
-    g.source, g.target, g.mapping = key
-    g.id = len(_INTERNED)
-    g._key = key
-    g._hash = hash(key)
-    g._structure = structure
-    g._factors = None
-    g._iso = None
-    _INTERNED[key] = g
+def _morphism(source: PolyIndex, target: PolyIndex, structure) -> LambdaMorphism:
+    """The interned morphism of a triple known to lie in the category."""
+    key = (source, target, structure)
+    g = _INTERNED.get(key)
+    if g is None:
+        g = object.__new__(LambdaMorphism)
+        g.source, g.target, g.structure = key
+        g.id = len(_INTERNED)
+        g._key = g._hash = g._factors = g._iso = None
+        _INTERNED[key] = g
     return g
 
 
@@ -172,15 +198,16 @@ def compose(second: LambdaMorphism, first: LambdaMorphism) -> LambdaMorphism:
         return hit
     if first.target != second.source:
         raise ValueError(f"cannot compose {second!r} after {first!r}")
-    pos = point_pos(second.source)
-    table = second.mapping
-    out = _COMPOSITES[ids] = LambdaMorphism(
-        first.source,
-        second.target,
-        tuple(table[pos[q]] for q in first.mapping),
-        _checked=True,
-    )
-    return out
+    inner = first.structure
+    out = []
+    for e in second.structure:
+        if e[0] == "track":
+            f, table = inner[e[1]], e[2]
+            e = (("const", table[f[1]]) if f[0] == "const"
+                 else ("track", f[1], tuple(table[v] for v in f[2])))
+        out.append(e)
+    hit = _COMPOSITES[ids] = _morphism(first.source, second.target, tuple(out))
+    return hit
 
 
 def identity(n: PolyIndex) -> LambdaMorphism:
@@ -190,60 +217,35 @@ def identity(n: PolyIndex) -> LambdaMorphism:
     except (KeyError, TypeError):  # TypeError: an unhashable sequence
         pass
     n = check_index(n)
-    out = _IDENTITIES[n] = LambdaMorphism(n, n, points(n), _checked=True)
+    structure = _TO_POINT if n == (0,) else tuple(
+        ("track", l, tuple(range(x + 1))) for l, x in enumerate(n))
+    out = _IDENTITIES[n] = _morphism(n, n, structure)
     return out
 
 
-def structure_of(gamma: LambdaMorphism):
-    """Tracked-coordinate structure (the triple), or raise ValueError.
-
-    Returns per target coordinate either ("const", value) or
-    ("track", source_coord, alpha) with alpha the injective value table.
-    """
-    hit = gamma._structure
-    if hit is None:
-        hit = gamma._structure = _derive_structure(
-            gamma.source, gamma.target, gamma.mapping)
-    return hit
-
-
 def _derive_structure(m: PolyIndex, n: PolyIndex, mapping: Tuple[Point, ...]):
+    """The triple of a point table, or raise ValueError."""
     src_pts = points(m)
-    pos = point_pos(m)
-    out = []
-    tracked_sources = set()
+    out, read = [], set()
     for l in range(len(n)):
         values = [img[l] for img in mapping]
-        if all(v == values[0] for v in values):
+        if len(set(values)) == 1:
             out.append(("const", values[0]))
             continue
-        if m == (0,):
-            raise ValueError("morphism from the point must be constant")
-        cand = None
+        # a non-constant coordinate has a source with at least two points
         for j in range(len(m)):
-            base = [0] * len(m)
-            table = []
-            ok = True
-            for a in range(m[j] + 1):
-                q = list(base)
-                q[j] = a
-                table.append(mapping[pos[tuple(q)]][l])
-            if len(set(table)) != m[j] + 1:
-                ok = False
-            if ok:
-                ok = all(v == table[p[j]] for p, v in zip(src_pts, values))
-            if ok:
-                cand = (j, tuple(table))
+            table = {}
+            if (all(table.setdefault(p[j], v) == v for p, v in zip(src_pts, values))
+                    and len(set(table.values())) == m[j] + 1):
                 break
-        if cand is None:
+        else:
             raise ValueError(
                 f"coordinate {l} is not constant and reads no single source"
             )
-        j, table = cand
-        if j in tracked_sources:
+        if j in read:
             raise ValueError(f"source coordinate {j} is read twice")
-        tracked_sources.add(j)
-        out.append(("track", j, table))
+        read.add(j)
+        out.append(("track", j, tuple(table[a] for a in range(m[j] + 1))))
     return tuple(out)
 
 
@@ -252,22 +254,28 @@ def from_triple(
     target: PolyIndex,
     tracked: Dict[int, Tuple[int, Sequence[int]]],
     constants: Dict[int, int],
-    _checked: bool = False,
 ) -> LambdaMorphism:
-    """Build the function of a triple: tracked[l] = (source coord, alpha
-    value table) and constants[l] the value of the untracked coordinates."""
+    """The morphism of a triple: tracked[l] = (source coord, alpha value
+    table) and constants[l] the value of the untracked coordinates.
+    Raises ValueError unless the triple gives a morphism."""
     source, target = check_index(source), check_index(target)
-    mapping = []
-    for p in points(source):
-        img = []
-        for l in range(len(target)):
-            if l in tracked:
-                j, table = tracked[l]
-                img.append(table[p[j]])
-            else:
-                img.append(constants[l])
-        mapping.append(tuple(img))
-    return LambdaMorphism(source, target, mapping, _checked=_checked)
+    width = 0 if source == (0,) else len(source)
+    structure, read = [], set()
+    for l, x in enumerate(target):
+        if l in tracked:
+            j, alpha = tracked[l][0], tuple(tracked[l][1])
+            if not (0 <= j < width and j not in read
+                    and len(alpha) == source[j] + 1 == len(set(alpha))
+                    and all(0 <= v <= x for v in alpha)):
+                raise ValueError(f"coordinate {l} does not read an unread "
+                                 f"source coordinate through an injection")
+            read.add(j)
+            structure.append(("track", j, alpha))
+        elif 0 <= constants[l] <= x:
+            structure.append(("const", constants[l]))
+        else:
+            raise ValueError(f"constant {constants[l]} is not a value of coordinate {l}")
+    return _morphism(source, target, tuple(structure))
 
 
 @lru_cache(maxsize=None)
@@ -296,8 +304,7 @@ def lambda_hom(m: PolyIndex, n: PolyIndex) -> Tuple[LambdaMorphism, ...]:
                             for j, l, alpha in zip(J, targets, alphas)
                         }
                         constants = dict(zip(const_coords, consts))
-                        out.add(from_triple(m, n, tracked, constants,
-                                            _checked=True))
+                        out.add(from_triple(m, n, tracked, constants))
     return tuple(sorted(out))
 
 
@@ -346,10 +353,10 @@ def _generators_into(m: PolyIndex) -> Tuple[LambdaMorphism, ...]:
     gens = set()
     for l, x in enumerate(m):
         for table in ((1, 0) + ident[l][1][2:], ident[l][1][1:] + (0,)):
-            gens.add(from_triple(m, m, {**ident, l: (l, table)}, {}, _checked=True))
+            gens.add(from_triple(m, m, {**ident, l: (l, table)}, {}))
         if l + 1 < len(m) and m[l + 1] == x:
             swap = {**ident, l: (l + 1, ident[l][1]), l + 1: (l, ident[l][1])}
-            gens.add(from_triple(m, m, swap, {}, _checked=True))
+            gens.add(from_triple(m, m, swap, {}))
     for x in set(m):
         l = m.index(x)
         sizes = [y - (t == l) for t, y in enumerate(m)]
@@ -357,8 +364,7 @@ def _generators_into(m: PolyIndex) -> Tuple[LambdaMorphism, ...]:
                       key=lambda t: (-sizes[t], t))
         tracked = {t: (k, tuple(range(sizes[t] + 1))) for k, t in enumerate(kept)}
         source = tuple(sizes[t] for t in kept) or (0,)
-        gens.add(from_triple(source, m, tracked, {} if sizes[l] else {l: 0},
-                             _checked=True))
+        gens.add(from_triple(source, m, tracked, {} if sizes[l] else {l: 0}))
     return tuple(sorted(gens))
 
 
@@ -376,37 +382,19 @@ def epi_mono_factor(gamma: LambdaMorphism) -> Tuple[LambdaMorphism, LambdaMorphi
 
 
 def _factor(gamma: LambdaMorphism) -> Tuple[LambdaMorphism, LambdaMorphism]:
-    struct = structure_of(gamma)
-    tracked = [(l, j, table) for l, entry in enumerate(struct)
-               if entry[0] == "track"
-               for j, table in [entry[1:]]]
-    if not tracked:
-        mid = (0,)
-        epi = LambdaMorphism(
-            gamma.source, mid, [(0,)] * len(points(gamma.source)), _checked=True
-        )
-        mono = LambdaMorphism(mid, gamma.target, [gamma.mapping[0]], _checked=True)
-        return epi, mono
-    order = sorted(
-        range(len(tracked)),
-        key=lambda i: (-gamma.source[tracked[i][1]], tracked[i][1]),
-    )
-    mid = tuple(gamma.source[tracked[i][1]] for i in order)
-    epi_map = []
-    for p in points(gamma.source):
-        epi_map.append(tuple(p[tracked[i][1]] for i in order))
-    epi = LambdaMorphism(gamma.source, mid, epi_map, _checked=True)
-    mono_tracked = {}
-    mono_consts = {}
-    for pos, i in enumerate(order):
-        l, j, table = tracked[i]
-        mono_tracked[l] = (pos, table)
-    for l, entry in enumerate(struct):
-        if entry[0] == "const":
-            mono_consts[l] = entry[1]
-    mono = from_triple(
-        mid, gamma.target, mono_tracked, mono_consts, _checked=True
-    )
+    # the epi projects onto the read source coordinates, larger first; the
+    # mono reads them in that order through gamma's tables
+    m, struct = gamma.source, gamma.structure
+    reads = sorted((e[1] for e in struct if e[0] == "track"),
+                   key=lambda j: (-m[j], j))
+    if not reads:
+        return _morphism(m, (0,), _TO_POINT), _morphism((0,), gamma.target, struct)
+    mid = tuple(m[j] for j in reads)
+    epi = _morphism(m, mid, tuple(
+        ("track", j, tuple(range(m[j] + 1))) for j in reads))
+    pos = {j: k for k, j in enumerate(reads)}
+    mono = _morphism(mid, gamma.target, tuple(
+        e if e[0] == "const" else ("track", pos[e[1]], e[2]) for e in struct))
     return epi, mono
 
 
@@ -474,8 +462,8 @@ class PolysimplicialSet:
         key = (cell, epi.id)
         hit = self._canon_cache.get(key)
         if hit is None:
-            best = min((compose(theta, epi) for theta in self.stabs[cell]),
-                       key=_mapping_of)
+            # all candidates share source and target: least point table
+            best = min(compose(theta, epi) for theta in self.stabs[cell])
             hit = self._canon_cache[key] = Element(cell, best)
         return hit
 
@@ -630,10 +618,6 @@ def transitive_closure(pairs: Iterable[Tuple[str, str]]) -> Set[Tuple[str, str]]
     return {(a, b) for a in succ for b in succ[a]}
 
 
-def _mapping_of(g: LambdaMorphism):
-    return g.mapping
-
-
 def lambda_hom_all_into(target: PolyIndex) -> List[LambdaMorphism]:
     out = []
     for k in sub_indices(target):
@@ -705,29 +689,22 @@ def representable(n: Sequence[int]) -> PolysimplicialSet:
         cid = _box_cell_id(box)
         cells[cid] = _box_index(box)
         injections[cid] = _box_injection(box, n)
-    by_image = {}
-    for box in boxes:
-        cid = _box_cell_id(box)
-        by_image[frozenset(injections[cid].mapping)] = cid
     faces = {}
-    for box in boxes:
-        cid = _box_cell_id(box)
-        emb = injections[cid]
+    for cid, emb in injections.items():
         for iota in injections_into(cells[cid]):
             if iota.is_iso():
                 continue
-            comp = compose(emb, iota)
-            image = frozenset(comp.mapping)
-            tgt = by_image[image]
-            temb = injections[tgt]
-            back = {img: p for p, img in zip(points(temb.source), temb.mapping)}
-            theta = LambdaMorphism(
-                iota.source,
-                cells[tgt],
-                [back[comp(p)] for p in points(iota.source)],
-                _checked=True,
-            )
-            faces[(cid, iota)] = Element(tgt, theta)
+            comp = compose(emb, iota).structure
+            tgt = _box_cell_id(tuple((e[1],) if e[0] == "const" else sorted(e[2])
+                                     for e in comp))
+            # theta reads what comp reads, through the positions of comp's
+            # values in the sub-box, so that e_tgt*theta = comp
+            theta = [("const", 0)] * len(cells[tgt])
+            for e, t in zip(comp, injections[tgt].structure):
+                if t[0] == "track":
+                    theta[t[1]] = ("track", e[1], tuple(t[2].index(v) for v in e[2]))
+            faces[(cid, iota)] = Element(tgt, _morphism(iota.source, cells[tgt],
+                                                        tuple(theta)))
     stabs = {cid: frozenset([identity(idx)]) for cid, idx in cells.items()}
     return PolysimplicialSet(cells, stabs, faces, validate=False)
 
@@ -760,35 +737,21 @@ def _pair_id(a: str, b: str) -> str:
     return f"({a})*({b})"
 
 
-def _split_morphism(gamma: LambdaMorphism, raw: PolyIndex, na: PolyIndex,
+def _split_morphism(gamma: LambdaMorphism, na: PolyIndex,
                     nb: PolyIndex) -> Tuple[LambdaMorphism, LambdaMorphism]:
-    """Split [k] -> [raw] into the block components [k] -> [na], [k] -> [nb]."""
+    """Split [k] -> [na ++ nb] into its blocks [k] -> [na] and [k] -> [nb]."""
     wa = 0 if na == (0,) else len(na)
-    mapping_a = []
-    mapping_b = []
-    for p in points(gamma.source):
-        img = gamma(p)
-        mapping_a.append(tuple(img[:wa]) if wa else (0,))
-        mapping_b.append(tuple(img[wa:]) if len(img) > wa else (0,))
-    ga = LambdaMorphism(gamma.source, na if wa else (0,), mapping_a, _checked=True)
-    gb = LambdaMorphism(
-        gamma.source, nb if nb != (0,) else (0,), mapping_b, _checked=True
-    )
-    return ga, gb
+    s = gamma.structure
+    return (_morphism(gamma.source, na, s[:wa] if wa else _TO_POINT),
+            _morphism(gamma.source, nb, s[wa:] if nb != (0,) else _TO_POINT))
 
 
 def _join_epis(sa: LambdaMorphism, sb: LambdaMorphism) -> LambdaMorphism:
     """Combine epis with disjoint tracked sets into one epi onto the
     concatenated index."""
     na, nb = sa.target, sb.target
-    raw = concat_index(na, nb)
-    mapping = []
-    for p in points(sa.source):
-        left = sa(p) if na != (0,) else ()
-        right = sb(p) if nb != (0,) else ()
-        img = tuple(left) + tuple(right)
-        mapping.append(img if img else (0,))
-    return LambdaMorphism(sa.source, raw, mapping, _checked=True)
+    s = (sa.structure if na != (0,) else ()) + (sb.structure if nb != (0,) else ())
+    return _morphism(sa.source, concat_index(na, nb), s or _TO_POINT)
 
 
 def _sorting_iso(raw: PolyIndex) -> LambdaMorphism:
@@ -840,7 +803,7 @@ def box_product(A: PolysimplicialSet, B: PolysimplicialSet) -> PolysimplicialSet
             stab = set()
             for ta in A.stabs[ca]:
                 for tb in B.stabs[cb]:
-                    joint = _join_isos(ta, tb, na, nb, raw)
+                    joint = _join_isos(ta, tb)
                     stab.add(compose(rho_inv, compose(joint, rho)))
             stabs[cid] = frozenset(stab)
     for ca, na in A.cells.items():
@@ -848,13 +811,12 @@ def box_product(A: PolysimplicialSet, B: PolysimplicialSet) -> PolysimplicialSet
         for cb, nb in B.cells.items():
             xb = B.cell_element(cb)
             cid = _pair_id(ca, cb)
-            raw = concat_index(na, nb)
             rho = sorters[cid]
             for iota in injections_into(cells[cid]):
                 if iota.is_iso():
                     continue
                 comp = compose(rho, iota)
-                ga, gb = _split_morphism(comp, raw, na, nb)
+                ga, gb = _split_morphism(comp, na, nb)
                 ea = A.act(xa, ga)
                 eb = B.act(xb, gb)
                 tgt = _pair_id(ea.cell, eb.cell)
@@ -864,15 +826,11 @@ def box_product(A: PolysimplicialSet, B: PolysimplicialSet) -> PolysimplicialSet
     return PolysimplicialSet(cells, stabs, faces, validate=False)
 
 
-def _join_isos(ta, tb, na, nb, raw) -> LambdaMorphism:
-    """Blockwise automorphism of [raw] from automorphisms of the factors."""
-    wa = 0 if na == (0,) else len(na)
-    mapping = []
-    for p in points(raw):
-        left = tuple(p[:wa])
-        right = tuple(p[wa:]) if len(p) > wa else ()
-        la = ta(left) if na != (0,) else ()
-        lb = tb(right if right else (0,)) if nb != (0,) else ()
-        img = tuple(la) + tuple(lb)
-        mapping.append(img if img else (0,))
-    return LambdaMorphism(raw, raw, mapping, _checked=True)
+def _join_isos(ta: LambdaMorphism, tb: LambdaMorphism) -> LambdaMorphism:
+    """Blockwise automorphism of [na ++ nb] from automorphisms of [na] and
+    [nb]: the B block reads its source coordinates shifted past A's."""
+    wa = 0 if ta.target == (0,) else len(ta.target)
+    s = (ta.structure if wa else ()) + tuple(
+        ("track", e[1] + wa, e[2]) for e in tb.structure if e[0] == "track")
+    raw = concat_index(ta.target, tb.target)
+    return _morphism(raw, raw, s or _TO_POINT)

@@ -4,6 +4,7 @@ import os
 import pathlib
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -153,6 +154,20 @@ def test_complex_without_cells_has_no_pi1(tmp_path, command):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == "input error: complex has no cells, so pi1 has no base point\n"
+
+
+def test_oversized_cell_is_rejected_before_enumeration(tmp_path):
+    # loading enumerates every injection into a cell's index; [9] has
+    # millions, and the loader refuses it before enumerating any
+    doc = tmp_path / "big.poly"
+    doc.write_text("kind = polysimplicial\ncell x = 9\n")
+    start = time.perf_counter()
+    proc = run_cli(["pi1", "--input", str(doc)])
+    assert time.perf_counter() - start < 1
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"input error: {doc}: cell x = 9 is too large: the injections "
+                           "into its index may exceed the limit of 100000\n")
 
 
 def test_disconnected_graph_has_no_cover_enumeration(tmp_path):

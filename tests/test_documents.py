@@ -148,6 +148,19 @@ def test_polysimplicial_nongenerating_set_rejected():
     assert "generate" in str(err.value)
 
 
+def test_injection_bound_bounds_the_enumeration():
+    from anabel.poly import injections_into
+
+    for n in [(0,), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (2, 2)]:
+        assert len(injections_into(n)) <= documents._injection_bound(n)
+    assert documents._injection_bound((1, 1)) == 32
+    # capped, so a huge index costs nothing to bound
+    for n in [(9,), (10 ** 9,), (1,) * 10 ** 5]:
+        assert documents._injection_bound(n) == documents.MAX_INJECTIONS + 1
+        with pytest.raises(DocumentError, match="too large"):
+            load("kind = polysimplicial\ncell x = " + ",".join(map(str, n)) + "\n")
+
+
 def test_unknown_kind_rejected():
     with pytest.raises(DocumentError):
         load("kind = widget")

@@ -22,7 +22,6 @@ from anabel.poly import (
     lambda_hom,
     points,
     representable,
-    structure_of,
 )
 from anabel.poly_ops import (
     CellFunctor,
@@ -94,12 +93,12 @@ def test_rejects_diagonal_function():
 
 
 def test_rejects_diagonal_function_after_memo_is_filled():
-    # structure_of and epi_mono_factor memoize successes only: valid
-    # morphisms [1] -> [1, 1] in the memo must not let a non-morphism with
+    # the intern table and epi_mono_factor hold successes only: valid
+    # morphisms [1] -> [1, 1] in them must not let a non-morphism with
     # the same source and target through, neither once nor twice
     for g in lambda_hom((1,), (1, 1)):
         rebuilt = LambdaMorphism(g.source, g.target, g.mapping)
-        assert structure_of(rebuilt) == structure_of(g)
+        assert rebuilt.structure == g.structure
         epi_mono_factor(rebuilt)
     for _ in range(2):
         with pytest.raises(ValueError):
@@ -237,9 +236,27 @@ HOM_INDICES = [(0,), (1,), (2,), (1, 1), (2, 1), (1, 1, 1)]
 
 def test_memoized_morphism_calculus_matches_reference():
     homs = {(a, b): lambda_hom(a, b) for a in HOM_INDICES for b in HOM_INDICES}
+    assert sum(map(len, homs.values())) == 966
     for (a, b), gs in homs.items():
         for g in gs:
-            assert structure_of(g) == _reference_structure(g)
+            assert g.structure == _reference_structure(g)
+            tracked = {l: e[1:] for l, e in enumerate(g.structure) if e[0] == "track"}
+            constants = {l: e[1] for l, e in enumerate(g.structure) if e[0] == "const"}
+            assert from_triple(a, b, tracked, constants) is g
+            # the predicates and the inverse, from the point table
+            image = set(g.mapping)
+            injective = len(image) == len(g.mapping)
+            surjective = image == set(points(b))
+            assert (g.is_injective(), g.is_surjective(), g.is_iso()) == (
+                injective, surjective, injective and surjective)
+            if injective and surjective:
+                back = dict(zip(g.mapping, points(a)))
+                inv = g.inverse()
+                assert (inv.source, inv.target) == (b, a)
+                assert inv.mapping == tuple(back[q] for q in points(b))
+            else:
+                with pytest.raises(ValueError, match="not invertible"):
+                    g.inverse()
             mid, epi_map, mono_map = _reference_factor(g)
             for _ in range(2):  # the second call reads the memo
                 epi, mono = epi_mono_factor(g)
@@ -268,7 +285,8 @@ def test_rejected_function_leaves_no_intern_entry():
         for _ in range(2):
             with pytest.raises(ValueError):
                 LambdaMorphism(source, target, mapping)
-            assert (source, target, mapping) not in poly._INTERNED
+            assert all(g.key() != (source, target, mapping)
+                       for g in poly._INTERNED.values())
     assert len(poly._INTERNED) == before
 
 
@@ -644,7 +662,7 @@ def test_is_cospec_iso_rejects_collapse():
 def _epi_to_point(n):
     from anabel.poly import LambdaMorphism, points
 
-    return LambdaMorphism(n, (0,), [(0,)] * len(points(n)), _checked=True)
+    return LambdaMorphism(n, (0,), [(0,)] * len(points(n)))
 
 
 def test_is_cospec_iso_nonfree_target_report():

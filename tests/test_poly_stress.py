@@ -37,6 +37,7 @@ from anabel.poly_ops import (
     quotient,
 )
 
+import constructor_reference
 from category_reference import all_objects_pi1
 
 SEED = int(os.environ.get("ANABEL_SEED", "0"))
@@ -123,19 +124,25 @@ def _random_polygon(rng, n):
     return quotient(U, seeds).complex
 
 
+def _corpus_pool(rng):
+    """Lambda of (0), (1), (2) and (1, 1), the circle, three random
+    polygons, the rotation quotient (stabilizer Z/3) and the fold (Z/2)."""
+    quotients = [_circle()] + [_random_polygon(rng, rng.randint(2, 4)) for _ in range(3)]
+    return ([representable(n) for n in [(0,), (1,), (2,), (1, 1)]] + quotients
+            + [_rotation_quotient(), _fold()])
+
+
 def test_constructor_corpus_validates_deeply():
     # representable, disjoint_union and box_product build without
     # validate; every complex they return here is checked deeply and by
-    # the all-pairs reference. The rotation quotient (stabilizer Z/3) and
-    # the fold (Z/2) give products with nontrivial stabilizers.
+    # the all-pairs reference. The rotation quotient and the fold give
+    # products with nontrivial stabilizers.
     rng = random.Random(SEED)
-    built = [representable(n) for n in [(0,), (1,), (2,), (1, 1)]]
-    quotients = [_circle()] + [_random_polygon(rng, rng.randint(2, 4)) for _ in range(3)]
+    pool = _corpus_pool(rng)
+    built, quotients, (rotation, fold) = pool[:4], pool[4:8], pool[8:]
     for C in quotients:
         C.validate(deep=True)
         assert C.euler_characteristic() == 0
-    rotation, fold = _rotation_quotient(), _fold()
-    pool = built + quotients + [rotation, fold]
     for _ in range(16):
         A, B = rng.choice(pool), rng.choice(pool)
         if rng.random() < 0.7 and A.dim() + B.dim() <= 3:
@@ -160,6 +167,28 @@ def test_constructor_corpus_validates_deeply():
     for P in built:
         P.validate(deep=True)
         _reference_validate(P)
+
+
+def _tables(C):
+    """Cells, stabilizers and face table of C, with morphisms as point tables."""
+    return (C.cells,
+            {c: sorted(g.key() for g in s) for c, s in C.stabs.items()},
+            sorted((c, iota.key(), e.cell, e.epi.key()) for (c, iota), e in C.faces.items()))
+
+
+def test_constructor_corpus_matches_pointwise_reference():
+    # representable and box_product build their face morphisms from
+    # triples; the reference builds them point by point, through the
+    # checked constructor
+    for n in [(0,), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]:
+        assert _tables(representable(n)) == _tables(constructor_reference.representable(n))
+    rng = random.Random(SEED)
+    pool = _corpus_pool(rng)
+    pool += [disjoint_union(rng.choice(pool), rng.choice(pool)) for _ in range(3)]
+    for A, B in itertools.product(pool, repeat=2):
+        if A.dim() + B.dim() <= 3:
+            P = box_product(A, B)
+            assert _tables(P) == _tables(constructor_reference.box_product(A, B))
 
 
 def test_only_trust_boundaries_validate(monkeypatch):
