@@ -367,9 +367,10 @@ def main(argv=None) -> int:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except (ValueError, KeyError) as exc:
-        from .cospec import CospecError
-
-        if isinstance(exc, CospecError):
+        # a CospecError exists only once its module is loaded; importing it
+        # here would load the polysimplicial layers for nothing
+        cospec = sys.modules.get("anabel.cospec")
+        if cospec is not None and isinstance(exc, cospec.CospecError):
             print(f"cospecialization failure: {exc}", file=sys.stderr)
             return 1
         print(f"input error: {exc}", file=sys.stderr)

@@ -26,7 +26,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
 
 PolyIndex = Tuple[int, ...]
 Point = Tuple[int, ...]
@@ -278,39 +278,48 @@ def from_triple(
     return _morphism(source, target, tuple(structure))
 
 
+def _width(n: PolyIndex) -> int:
+    """The number of coordinates a morphism can read: 0 for the point."""
+    return 0 if n == (0,) else len(n)
+
+
+def _homs_reading(m: PolyIndex, n: PolyIndex, reads: int) -> Iterator[LambdaMorphism]:
+    """The morphisms [m] -> [n] that read exactly `reads` source
+    coordinates, each once: the choice of those coordinates, the target
+    coordinates that read them, an injective value table for each, and a
+    constant for every other target coordinate."""
+    wn = len(n)
+    for J in itertools.combinations(range(_width(m)), reads):
+        for targets in itertools.permutations(range(wn), reads):
+            if any(m[j] > n[l] for j, l in zip(J, targets)):
+                continue
+            tables = [itertools.permutations(range(n[l] + 1), m[j] + 1)
+                      for j, l in zip(J, targets)]
+            const_coords = [l for l in range(wn) if l not in targets]
+            values = [range(n[l] + 1) for l in const_coords]
+            for alphas in itertools.product(*tables):
+                structure = [None] * wn
+                for j, l, alpha in zip(J, targets, alphas):
+                    structure[l] = ("track", j, alpha)
+                for consts in itertools.product(*values):
+                    for l, v in zip(const_coords, consts):
+                        structure[l] = ("const", v)
+                    yield _morphism(m, n, tuple(structure))
+
+
 @lru_cache(maxsize=None)
 def lambda_hom(m: PolyIndex, n: PolyIndex) -> Tuple[LambdaMorphism, ...]:
     """All morphisms [m] -> [n], duplicate-free, in canonical order."""
     m, n = check_index(m), check_index(n)
-    wm, wn = len(m), len(n)
-    src_coords = [] if m == (0,) else list(range(wm))
-    out: Set[LambdaMorphism] = set()
-    for size in range(min(len(src_coords), wn) + 1):
-        for J in itertools.combinations(src_coords, size):
-            for targets in itertools.permutations(range(wn), size):
-                if any(m[j] > n[l] for j, l in zip(J, targets)):
-                    continue
-                alpha_choices = []
-                for j, l in zip(J, targets):
-                    alpha_choices.append(
-                        list(itertools.permutations(range(n[l] + 1), m[j] + 1))
-                    )
-                const_coords = [l for l in range(wn) if l not in targets]
-                const_choices = [range(n[l] + 1) for l in const_coords]
-                for alphas in itertools.product(*alpha_choices):
-                    for consts in itertools.product(*const_choices):
-                        tracked = {
-                            l: (j, alpha)
-                            for j, l, alpha in zip(J, targets, alphas)
-                        }
-                        constants = dict(zip(const_coords, consts))
-                        out.add(from_triple(m, n, tracked, constants))
-    return tuple(sorted(out))
+    return tuple(sorted(g for reads in range(min(_width(m), len(n)) + 1)
+                        for g in _homs_reading(m, n, reads)))
 
 
 @lru_cache(maxsize=None)
 def automorphisms(n: PolyIndex) -> Tuple[LambdaMorphism, ...]:
-    return tuple(g for g in lambda_hom(n, n) if g.is_iso())
+    # an isomorphism is onto, and reads every coordinate (see epis_onto)
+    n = check_index(n)
+    return tuple(sorted(g for g in _homs_reading(n, n, _width(n)) if g.is_iso()))
 
 
 @lru_cache(maxsize=None)
@@ -328,13 +337,14 @@ def sub_indices(n: PolyIndex) -> Tuple[PolyIndex, ...]:
 
 @lru_cache(maxsize=None)
 def injections_into(n: PolyIndex) -> Tuple[LambdaMorphism, ...]:
-    """All injective morphisms from canonical indices into [n]."""
-    out = []
-    for k in sub_indices(n):
-        for g in lambda_hom(k, n):
-            if g.is_injective():
-                out.append(g)
-    return tuple(sorted(out))
+    """All injective morphisms from canonical indices into [n].
+
+    A morphism from [k] is injective exactly when it reads every source
+    coordinate: two points that differ only in an unread coordinate have
+    one image. So only the triples that read all of k's coordinates are
+    enumerated."""
+    return tuple(sorted(g for k in sub_indices(n)
+                        for g in _homs_reading(k, n, _width(k))))
 
 
 @lru_cache(maxsize=None)
@@ -370,7 +380,13 @@ def _generators_into(m: PolyIndex) -> Tuple[LambdaMorphism, ...]:
 
 @lru_cache(maxsize=None)
 def epis_onto(m: PolyIndex, n: PolyIndex) -> Tuple[LambdaMorphism, ...]:
-    return tuple(g for g in lambda_hom(m, n) if g.is_surjective())
+    """All epimorphisms [m] ->> [n], in canonical order.
+
+    Only triples that track every coordinate of [n] are enumerated: a
+    constant coordinate of an index other than the point misses a value."""
+    m, n = check_index(m), check_index(n)
+    return tuple(sorted(g for g in _homs_reading(m, n, _width(n))
+                        if g.is_surjective()))
 
 
 def epi_mono_factor(gamma: LambdaMorphism) -> Tuple[LambdaMorphism, LambdaMorphism]:

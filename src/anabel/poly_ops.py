@@ -129,7 +129,25 @@ def quotient(
     C: PolysimplicialSet, seed_pairs: Sequence[Tuple[Element, Element]]
 ) -> QuotientResult:
     """Quotient of C by the congruence generated by the given element pairs,
-    renormalized to Eilenberg-Zilber form."""
+    renormalized to Eilenberg-Zilber form.
+
+    The levels are the sub-indices of the cells and of the seeds. The
+    congruence is closed in one pass over the seeds, keying elements by
+    their canonical form: for each seed (a, b) and every morphism gamma
+    into its level from a level, act(a, gamma) and act(b, gamma) are
+    joined (gamma = identity joins the seed itself). The union-find
+    relation is the equivalence generated by these image pairs. Act along
+    delta maps a chain of image pairs from u to v to a chain of image pairs
+    from act(u, delta) to act(v, delta), because act(act(a, gamma), delta)
+    = act(a, gamma*delta), as C is a presheaf, and gamma*delta is again a
+    morphism from a level into the seed's level. So the relation is closed
+    under act: it is the least congruence containing the seeds. This is
+    congruence closure (Downey, Sethi & Tarjan 1980; Nelson & Oppen 1980)
+    with whole hom-sets as the operations, where a worklist of joined pairs
+    would only re-join images of images. Each union makes the lesser root
+    the root of the other, so the id of a class is its least key, whatever
+    the order of the unions; cell names and tables are read off those ids.
+    """
     levels: Set[PolyIndex] = set()
     for n in C.cells.values():
         levels.update(sub_indices(n))
@@ -144,28 +162,10 @@ def quotient(
         lv: C.elements_at(lv) for lv in levels
     }
     uf = _UnionFind()
-    for lv in levels:
-        for e in elements[lv]:
-            uf.find(_elt_key(C, e))
     for a, b in seed_pairs:
-        uf.union(_elt_key(C, a), _elt_key(C, b))
-    changed = True
-    while changed:
-        changed = False
         for src in levels:
-            for dst in levels:
-                for gamma in lambda_hom(src, dst):
-                    buckets: Dict[object, List[Element]] = {}
-                    for e in elements[dst]:
-                        buckets.setdefault(uf.find(_elt_key(C, e)), []).append(e)
-                    for group in buckets.values():
-                        if len(group) < 2:
-                            continue
-                        first = C.act(group[0], gamma)
-                        for other in group[1:]:
-                            moved = C.act(other, gamma)
-                            if uf.union(_elt_key(C, first), _elt_key(C, moved)):
-                                changed = True
+            for gamma in lambda_hom(src, a.level):
+                uf.union(_elt_key(C, C.act(a, gamma)), _elt_key(C, C.act(b, gamma)))
 
     def class_of(e: Element):
         return uf.find(_elt_key(C, e))
@@ -222,14 +222,20 @@ def quotient(
         )
         stabs[name] = stab
 
-    def normal_form(cid, level) -> Element:
-        """Quotient normal form of the class cid living at the given level."""
-        for name in sorted(rep_element):
-            z = rep_element[name]
-            for tau in epis_onto(level, cells[name]):
-                if class_of(C.act(z, tau)) == cid:
-                    return Element(name, tau)
-        raise AssertionError("class has no normal form; EZ failure")
+    # the quotient normal form of each class: the first (name, tau), in
+    # the order of names and then of epis, whose element lies in it
+    normal_form: Dict[object, Element] = {}
+    for name in sorted(rep_element):
+        z = rep_element[name]
+        for lv in levels:
+            for tau in epis_onto(lv, cells[name]):
+                normal_form.setdefault(class_of(C.act(z, tau)), Element(name, tau))
+
+    def normal(e: Element) -> Element:
+        try:
+            return normal_form[class_of(e)]
+        except KeyError:
+            raise AssertionError("class has no normal form; EZ failure") from None
 
     faces = {}
     for name in sorted(cells):
@@ -238,16 +244,10 @@ def quotient(
         for iota in injections_into(n):
             if iota.is_iso():
                 continue
-            moved = C.act(rep, iota)
-            faces[(name, iota)] = normal_form(class_of(moved), iota.source)
+            faces[(name, iota)] = normal(C.act(rep, iota))
     Q = PolysimplicialSet(cells, stabs, faces)
     proj = PolyMorphism.from_cells(
-        C,
-        Q,
-        {
-            c: normal_form(class_of(C.cell_element(c)), C.cells[c])
-            for c in C.cells
-        },
+        C, Q, {c: normal(C.cell_element(c)) for c in C.cells}
     )
     return QuotientResult(Q, proj)
 

@@ -208,6 +208,20 @@ def test_non_associative_pi_table_exit_code(tmp_path):
     assert proc.stderr == f"input error: {doc}: associativity fails at (1, 1, 2)\n"
 
 
+def test_input_error_loads_no_cospec_module():
+    # the handler tells a CospecError apart without importing anabel.cospec
+    code = ("import sys; from anabel import cli; "
+            "rc = cli.main(['verify-rigidity', '--input', 'tests/data/theta.graph', "
+            "'--max-degree', '0']); "
+            "print(rc, 'anabel.cospec' in sys.modules)")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        cwd=str(pathlib.Path(__file__).parent.parent),
+    )
+    assert proc.stdout == "2 False\n", proc.stderr
+    assert proc.stderr == "input error: max_degree must be >= 1\n"
+
+
 def test_cospec_failure_exit_code(tmp_path):
     # a is minimal in s1, but the unique maximum of its fiber, y, is not
     # minimal in s2

@@ -15,6 +15,7 @@ from anabel.poly import (
     check_index,
     compose,
     epi_mono_factor,
+    epis_onto,
     from_triple,
     identity,
     index_dim,
@@ -36,6 +37,7 @@ from anabel.poly_ops import (
     quotient,
 )
 
+import quotient_reference
 from category_reference import all_objects_presentation, nondeg_objects
 
 
@@ -232,6 +234,17 @@ def _reference_factor(gamma):
 
 
 HOM_INDICES = [(0,), (1,), (2,), (1, 1), (2, 1), (1, 1, 1)]
+ENUM_INDICES = [(0,), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1), (3, 1), (2, 2), (2, 1, 1)]
+
+
+def test_direct_enumerations_match_filters_of_the_hom_sets():
+    # injections, epimorphisms and automorphisms are enumerated from the
+    # triples that can have the property; the references filter lambda_hom
+    for n in ENUM_INDICES:
+        assert injections_into(n) == quotient_reference.injections_into(n)
+        assert automorphisms(n) == quotient_reference.automorphisms(n)
+        for m in ENUM_INDICES:
+            assert epis_onto(m, n) == quotient_reference.epis_onto(m, n)
 
 
 def test_memoized_morphism_calculus_matches_reference():

@@ -3,7 +3,8 @@ randomized quotients and a seeded corpus of constructor outputs, all
 deep-validated; a differential test of `validate`, which checks
 functoriality along generators, against the all-pairs check; and one of
 `find_isomorphism`, which prunes by face checks, against the search that
-did not."""
+did not; and one of `quotient`, which closes its congruence in one pass
+over the seeds, against the fixed-point sweep."""
 
 import itertools
 import os
@@ -23,6 +24,7 @@ from anabel.poly import (
     identity,
     index_dim,
     injections_into,
+    lambda_hom,
     representable,
 )
 from anabel.cospec import cospec_polysimplicial
@@ -38,17 +40,22 @@ from anabel.poly_ops import (
 )
 
 import constructor_reference
+import quotient_reference
 from category_reference import all_objects_pi1
 
 SEED = int(os.environ.get("ANABEL_SEED", "0"))
 
 
-def _rotation_quotient():
-    """Lambda(2) modulo the rotation of its vertices: stabilizer Z/3."""
+def _rotation_gluing():
+    """Lambda(2) and the rotation of its vertices: stabilizer Z/3."""
     L2 = representable((2,))
     rot = [g for g in automorphisms((2,)) if g.mapping == ((1,), (2,), (0,))][0]
     top = [c for c in L2.cells if L2.cells[c] == (2,)][0]
-    return quotient(L2, [(L2.cell_element(top), Element(top, rot))]).complex
+    return L2, [(L2.cell_element(top), Element(top, rot))]
+
+
+def _rotation_quotient():
+    return quotient(*_rotation_gluing()).complex
 
 
 def test_rotation_fold_of_2_simplex():
@@ -62,7 +69,9 @@ def test_rotation_fold_of_2_simplex():
     assert Q.euler_characteristic() == 1
 
 
-def test_random_vertex_edge_quotients_stay_coherent():
+def _vertex_edge_gluings():
+    """Twelve seeded gluings of two representables along vertices and,
+    half the time, along a pair of edges."""
     rng = random.Random(13579)
     shapes = [(1,), (2,), (1, 1)]
     for trial in range(12):
@@ -79,6 +88,11 @@ def test_random_vertex_edge_quotients_stay_coherent():
             e1, e2 = rng.sample(edges, 2)
             theta = rng.choice(list(automorphisms((1,))))
             seeds.append((C.cell_element(e1), Element(e2, theta)))
+        yield C, seeds
+
+
+def test_random_vertex_edge_quotients_stay_coherent():
+    for C, seeds in _vertex_edge_gluings():
         res = quotient(C, seeds)
         Q = res.complex
         Q.validate(deep=True)
@@ -110,8 +124,9 @@ def _circle():
     return coequalizer(f, g).complex
 
 
-def _random_polygon(rng, n):
-    """n intervals glued in a cycle, each reversed with probability 1/2."""
+def _polygon_gluing(rng, n):
+    """n intervals and the seeds that glue them in a cycle, each reversed
+    with probability 1/2."""
     U = representable((1,))
     names = [""]
     for _ in range(n - 1):
@@ -121,7 +136,11 @@ def _random_polygon(rng, n):
     seeds = [(U.cell_element(names[i] + ends[i][1]),
               U.cell_element(names[(i + 1) % n] + ends[(i + 1) % n][0]))
              for i in range(n)]
-    return quotient(U, seeds).complex
+    return U, seeds
+
+
+def _random_polygon(rng, n):
+    return quotient(*_polygon_gluing(rng, n)).complex
 
 
 def _corpus_pool(rng):
@@ -189,6 +208,28 @@ def test_constructor_corpus_matches_pointwise_reference():
         if A.dim() + B.dim() <= 3:
             P = box_product(A, B)
             assert _tables(P) == _tables(constructor_reference.box_product(A, B))
+
+
+def test_quotient_corpus_matches_fixed_point_reference():
+    # quotient closes the congruence in one pass over the seeds and reads
+    # normal forms from one table; the reference sweeps every morphism to a
+    # fixed point and searches each normal form
+    rng = random.Random(SEED)
+    L1 = representable((1,))
+    circle = (L1, [(L1.cell_element("s0"), L1.cell_element("s1"))])
+    # an edge collapsed onto a degenerate edge: the degenerate edges on its
+    # ends are joined only along the degeneracy
+    I2 = disjoint_union(L1, L1)
+    collapse = (I2, [(I2.cell_element("L.s01"),
+                      Element("R.s0", lambda_hom((1,), (0,))[0]))])
+    gluings = [_polygon_gluing(rng, n) for n in range(3, 7)]
+    gluings += [circle, _fold_gluing(), _rotation_gluing(), collapse]
+    gluings += list(_vertex_edge_gluings())
+    for C, seeds in gluings:
+        got, want = quotient(C, seeds), quotient_reference.quotient(C, seeds)
+        assert _tables(got.complex) == _tables(want.complex)
+        assert ({c: (e.cell, e.epi.key()) for c, e in got.projection.cell_map.items()}
+                == {c: (e.cell, e.epi.key()) for c, e in want.projection.cell_map.items()})
 
 
 def test_only_trust_boundaries_validate(monkeypatch):
@@ -271,11 +312,15 @@ def _verdicts(cells, stabs, faces, deep):
     return out
 
 
-def _fold():
+def _fold_gluing():
     L1 = representable((1,))
     flip = next(g for g in automorphisms((1,)) if g != identity((1,)))
-    return quotient(L1, [(L1.cell_element("s0"), L1.cell_element("s1")),
-                         (L1.cell_element("s01"), Element("s01", flip))]).complex
+    return L1, [(L1.cell_element("s0"), L1.cell_element("s1")),
+                (L1.cell_element("s01"), Element("s01", flip))]
+
+
+def _fold():
+    return quotient(*_fold_gluing()).complex
 
 
 def _corruptions(rng, C):
