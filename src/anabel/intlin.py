@@ -1,15 +1,15 @@
 """Exact linear algebra: row reduction over Q, Smith normal form over Z.
 
-Over Q: row reduction, nullspace, rank and exact linear feasibility
-(Fourier-Motzkin). Over Z: primality, Smith normal form, f.g. abelian
-groups, cokernels and lattice membership. One reduction loop serves the
-Smith form; `smith_normal_form` has it track U and V, while
-`smith_diagonal` (behind cokernels, kernel ranks, mod-n solution groups and
-lattice membership) tracks no transforms. An entry the pivot does not
-divide is cleared by a 2 x 2 gcd step, so the pivot shrinks to the gcd and
-no unreduced remainder row becomes the next pivot; that is what keeps
-entries from running away. Everything works with plain integers and
-`Fraction`, so there is no overflow.
+These are the library's two eliminations. Over Q: row reduction, nullspace
+and rank. Over Z: primality, Smith normal form, f.g. abelian groups,
+cokernels and lattice membership. One reduction loop serves the Smith form;
+`smith_normal_form` has it track U and V, while `smith_diagonal` (behind
+cokernels, kernel ranks, mod-n solution groups and lattice membership)
+tracks no transforms. An entry the pivot does not divide is cleared by a
+2 x 2 gcd step, so the pivot shrinks to the gcd and no unreduced remainder
+row becomes the next pivot; that is what keeps entries from running away.
+Everything works with plain integers and `Fraction`, so there is no
+overflow.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, prod
-from typing import Iterable, List, Optional, Sequence, Tuple
+from typing import Iterable, List, Sequence, Tuple
 
 
 class IntMatrix:
@@ -92,30 +92,6 @@ class IntMatrix:
 
     def __repr__(self):
         return f"IntMatrix({self.to_rows()!r})"
-
-    def determinant(self) -> int:
-        """Exact determinant (fraction-free would do; Fractions are simpler)."""
-        if self.rows != self.cols:
-            raise ValueError("determinant of non-square matrix")
-        n = self.rows
-        a = [[Fraction(self[i, j]) for j in range(n)] for i in range(n)]
-        det = Fraction(1)
-        for col in range(n):
-            piv = next((r for r in range(col, n) if a[r][col] != 0), None)
-            if piv is None:
-                return 0
-            if piv != col:
-                a[col], a[piv] = a[piv], a[col]
-                det = -det
-            det *= a[col][col]
-            inv = 1 / a[col][col]
-            for r in range(col + 1, n):
-                f = a[r][col] * inv
-                if f:
-                    for c in range(col, n):
-                        a[r][c] -= f * a[col][c]
-        assert det.denominator == 1
-        return int(det)
 
 
 class FgAbGroup:
@@ -226,82 +202,6 @@ def nullspace(rows: Sequence[Sequence], ncols: int) -> List[List[Fraction]]:
 def rank(rows: Sequence[Sequence], ncols: int) -> int:
     """Rank over Q (equal to the number of nonzero Smith invariants)."""
     return len(row_reduce(rows, ncols)[1])
-
-
-def _fm_solve(ineqs, nvars):
-    """Feasible point of {x : coeffs . x >= rhs for all (coeffs, rhs)} or None.
-
-    Coefficients may be ints; the point has Fraction entries.
-    """
-    if nvars == 0:
-        for _, rhs in ineqs:
-            if rhs > 0:
-                return None
-        return []
-    last = nvars - 1
-    pos, neg, rest = [], [], []
-    for coeffs, rhs in ineqs:
-        c = coeffs[last]
-        if c > 0:
-            pos.append((coeffs, rhs))
-        elif c < 0:
-            neg.append((coeffs, rhs))
-        else:
-            rest.append((coeffs[:last], rhs))
-    projected = list(rest)
-    for pc, pr in pos:
-        for nc, nr in neg:
-            a, b = pc[last], -nc[last]
-            coeffs = tuple(b * pc[j] + a * nc[j] for j in range(last))
-            projected.append((coeffs, b * pr + a * nr))
-    sol = _fm_solve(projected, last)
-    if sol is None:
-        return None
-
-    def bound(coeffs, rhs):
-        # the sum starts at Fraction(0) so that the bound is never a float
-        return (rhs - sum((c * s for c, s in zip(coeffs, sol)), Fraction(0))) / coeffs[last]
-
-    lo = max((bound(*q) for q in pos), default=None)
-    hi = min((bound(*q) for q in neg), default=None)
-    if lo is not None:
-        x = lo
-    elif hi is not None:
-        x = min(hi, Fraction(0))
-    else:
-        x = Fraction(0)
-    return sol + [x]
-
-
-def solve_eq_ineq(equalities, inequalities, nvars: int) -> Optional[List[Fraction]]:
-    """A point of {x in Q^nvars : A x = a, B x >= b} with Fraction entries, or None.
-
-    equalities and inequalities are (coeffs, rhs) pairs of ints or Fractions.
-    A pivot in the last column of the reduced augmented equalities means they
-    are inconsistent; otherwise each pivot variable, x_p = row[nvars] -
-    sum(row[f] x_f) over the free variables f, is substituted into the
-    inequalities, and Fourier-Motzkin solves for the free variables.
-    """
-    rows, pivots = row_reduce([[*coeffs, rhs] for coeffs, rhs in equalities], nvars + 1)
-    if pivots and pivots[-1] == nvars:
-        return None
-    free = sorted(set(range(nvars)) - set(pivots))
-    reduced = []
-    for coeffs, rhs in inequalities:
-        subs = [(coeffs[p], row) for p, row in zip(pivots, rows) if coeffs[p]]
-        reduced.append((
-            tuple(coeffs[f] - sum(c * row[f] for c, row in subs) for f in free),
-            rhs - sum(c * row[nvars] for c, row in subs),
-        ))
-    sol = _fm_solve(reduced, len(free))
-    if sol is None:
-        return None
-    out = [Fraction(0)] * nvars
-    for f, value in zip(free, sol):
-        out[f] = value
-    for p, row in zip(pivots, rows):
-        out[p] = row[nvars] - sum(row[f] * out[f] for f in free)
-    return out
 
 
 # ---------------------------------------------------------------------------

@@ -17,7 +17,6 @@ from typing import Dict, List, Optional, Sequence, Set, Tuple
 
 from .intlin import (
     FgAbGroup, IntMatrix, lattice_member, nullspace, rank, row_reduce, smith_normal_form,
-    solve_eq_ineq,
 )
 
 Vec = Tuple[int, ...]
@@ -91,13 +90,6 @@ def cone_member(v: Sequence[int], gens: Sequence[Vec]) -> bool:
             and all(_dot(a, v) >= 0 for a in facets))
 
 
-def _positive_functional(gens: Sequence[Vec], unit_idx: Set[int], dim: int):
-    """phi in Q^dim with phi.g = 0 on unit generators and phi.g >= 1 elsewhere."""
-    eqs = [(gens[i], 0) for i in sorted(unit_idx)]
-    ins = [(g, 1) for i, g in enumerate(gens) if i not in unit_idx]
-    return solve_eq_ineq(eqs, ins, dim)
-
-
 # ---------------------------------------------------------------------------
 # affine monoids
 # ---------------------------------------------------------------------------
@@ -116,7 +108,6 @@ class AffineMonoid:
             gens.append(g)
         self.gens: Tuple[Vec, ...] = tuple(gens)
         self._unit_idx: Optional[Set[int]] = None
-        self._phi: Optional[List[Fraction]] = None
 
     def __repr__(self):
         return f"AffineMonoid({self.dim}, {list(self.gens)!r})"
@@ -141,25 +132,32 @@ class AffineMonoid:
         return cone_member(tuple(x), self.gens)
 
     def unit_generator_indices(self) -> Set[int]:
-        """Indices of generators lying in the lineality space of the cone."""
+        """Indices of generators lying in the lineality space of the cone,
+        that is of the generators on which every facet normal vanishes."""
         if self._unit_idx is None:
+            _, facets = _cone_inequalities(self.gens, self.dim)
             self._unit_idx = {
-                i
-                for i, g in enumerate(self.gens)
-                if cone_member(tuple(-c for c in g), self.gens)
+                i for i, g in enumerate(self.gens) if not any(_dot(a, g) for a in facets)
             }
         return self._unit_idx
 
-    def _grading(self) -> List[Fraction]:
-        """A functional vanishing on units and >= 1 on the other generators."""
-        if self._phi is None:
-            phi = _positive_functional(
-                self.gens, self.unit_generator_indices(), self.dim
-            )
-            if phi is None:
-                raise AssertionError("pointed part of the cone admits no grading")
-            self._phi = phi
-        return self._phi
+    def _grading(self) -> Vec:
+        """An integer functional vanishing on units and >= 1 on the other
+        generators: the primitive vector on the ray of the sum of the facet
+        normals.
+
+        The facet normals are the extreme rays of the dual cone
+        {a in L : a.g >= 0 for every g} inside the span L of the generators,
+        and that dual cone is pointed, so their sum lies in its relative
+        interior. Each normal is 0 on a unit g, as a.g >= 0 and a.(-g) >= 0.
+        A generator on which every normal vanishes is a unit, since -g then
+        satisfies every inequality of the cone; so on every other generator
+        some integer normal is >= 1 and the others are >= 0, and the sum is
+        >= 1. Dividing the sum by the gcd of its entries keeps the values on
+        generators positive integers.
+        """
+        _, facets = _cone_inequalities(self.gens, self.dim)
+        return _primitive([sum(a[j] for a in facets) for j in range(self.dim)])
 
     # -- membership --------------------------------------------------------
 
@@ -175,13 +173,9 @@ class AffineMonoid:
         units = self.unit_generator_indices()
         ugens = [self.gens[i] for i in sorted(units)]
         others = [self.gens[i] for i in range(len(self.gens)) if i not in units]
-        # a positive multiple of the grading with integer entries: zero on the
-        # units and positive on the other generators
-        phi = _primitive(self._grading())
+        phi = self._grading()
         weights = [_dot(phi, g) for g in others]
         target = _dot(phi, x)
-        if target < 0:
-            return False
         # the budget left at a state is phi(residual), so whether a state
         # (idx, residual) succeeds does not depend on the path to it
         failed: Set[Tuple[int, Vec]] = set()
@@ -392,6 +386,11 @@ def is_kummer(phi: MonoidMorphism, primes: Sequence[int],
               multiplier_bound: int = 60) -> Tuple[bool, Optional[Vec]]:
     """L-Kummer test: injective on gp and every target generator has an
     L-integer multiple in the image. The multiplier search is bounded."""
+    if multiplier_bound < 1:
+        raise ValueError("bound must be >= 1")
+    for p in primes:
+        if p < 2:
+            raise ValueError(f"primes must be >= 2, got {p}")
     if not phi.injective_on_gp():
         return False, None
     image = phi.image_monoid()

@@ -132,6 +132,17 @@ def test_rigidity_degree_zero_is_rejected():
     assert proc.stderr == "input error: max_degree must be >= 1\n"
 
 
+@pytest.mark.parametrize("bound", ["0", "-3"])
+@pytest.mark.parametrize("command,primes", [("kummer-check", "3,5"), ("saturation-check", "2")])
+def test_bound_below_one_is_rejected(command, primes, bound):
+    proc = run_cli([
+        command, "--input", str(DATA / "times2.morphism"), "--primes", primes, "--bound", bound,
+    ])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == "input error: bound must be >= 1\n"
+
+
 @pytest.mark.parametrize("command", ["cover-enum", "verify-rigidity"])
 def test_graph_without_vertices_has_no_covers(tmp_path, command):
     doc = tmp_path / "empty.graph"

@@ -18,7 +18,6 @@ from anabel.intlin import (
     smith_diagonal,
     smith_normal_form,
     solution_group_mod,
-    solve_eq_ineq,
 )
 
 
@@ -87,12 +86,42 @@ def test_zero_matrix():
     assert S.entries == (0, 0, 0)
 
 
+def _bareiss_determinant(M: IntMatrix) -> int:
+    """Determinant of a square integer matrix by fraction-free (Bareiss)
+    elimination: every division is exact, so the entries stay integers."""
+    a = M.to_rows()
+    n, sign, prev = M.rows, 1, 1
+    for k in range(n - 1):
+        if a[k][k] == 0:
+            swap = next((i for i in range(k + 1, n) if a[i][k]), None)
+            if swap is None:
+                return 0
+            a[k], a[swap] = a[swap], a[k]
+            sign = -sign
+        for i in range(k + 1, n):
+            for j in range(k + 1, n):
+                a[i][j] = (a[i][j] * a[k][k] - a[i][k] * a[k][j]) // prev
+        prev = a[k][k]
+    return sign * a[n - 1][n - 1] if n else 1
+
+
+def test_bareiss_determinant():
+    assert _bareiss_determinant(IntMatrix.zero(0, 0)) == 1
+    assert _bareiss_determinant(IntMatrix.from_rows([[-7]])) == -7
+    assert _bareiss_determinant(IntMatrix.from_rows([[0, 1], [1, 0]])) == -1
+    assert _bareiss_determinant(IntMatrix.from_rows([[2, 4], [6, 8]])) == -8
+    assert _bareiss_determinant(IntMatrix.from_rows([[1, 2], [2, 4]])) == 0
+    # cofactor expansion along the first row
+    M = IntMatrix.from_rows([[0, 2, 1], [3, 0, -1], [4, 5, 6]])
+    assert _bareiss_determinant(M) == 0 * (0 * 6 + 5) - 2 * (18 + 4) + 1 * (15 - 0)
+
+
 def _assert_smith_factorization(M: IntMatrix, U: IntMatrix, S: IntMatrix, V: IntMatrix):
     """U*M*V = S with U and V unimodular and S a Smith form."""
     n, m = M.rows, M.cols
     assert U * M * V == S
-    assert n == 0 or abs(U.determinant()) == 1
-    assert m == 0 or abs(V.determinant()) == 1
+    assert n == 0 or abs(_bareiss_determinant(U)) == 1
+    assert m == 0 or abs(_bareiss_determinant(V)) == 1
     diag = [S[i, i] for i in range(min(n, m))]
     assert all(S[i, j] == 0 for i in range(n) for j in range(m) if i != j)
     assert all(x >= 0 for x in diag)
@@ -225,20 +254,6 @@ def test_nullspace_and_rank():
     assert nullspace([[1, 0], [0, 3]], 2) == []
     assert rank([[1, 2], [2, 4]], 2) == 1
     assert rank([], 4) == 0
-
-
-def test_solve_eq_ineq():
-    # x + y = 1, x >= 1/2, y >= 1/3: x is the pivot, and the free y takes
-    # its lower bound
-    x = solve_eq_ineq([((1, 1), 1)], [((1, 0), Fraction(1, 2)), ((0, 1), Fraction(1, 3))], 2)
-    assert x == [Fraction(2, 3), Fraction(1, 3)]
-    assert all(isinstance(c, Fraction) for c in x)
-    # inconsistent equalities, and consistent ones with infeasible inequalities
-    assert solve_eq_ineq([((1, 1), 1), ((2, 2), 3)], [], 2) is None
-    assert solve_eq_ineq([((1, -1), 0)], [((1, 0), 1), ((0, -1), 0)], 2) is None
-    # no equalities, integer inequalities: the point is still exact
-    assert solve_eq_ineq([], [((2,), 1)], 1) == [Fraction(1, 2)]
-    assert solve_eq_ineq([], [], 0) == []
 
 
 def _random_matrix(rng, max_size=6, bound=5):

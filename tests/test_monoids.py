@@ -1,4 +1,5 @@
 import itertools
+import math
 import os
 import pathlib
 import random
@@ -7,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from anabel import documents
-from anabel.intlin import FgAbGroup, solve_eq_ineq
+from anabel.intlin import FgAbGroup
 from anabel.monoids import (
     AffineMonoid,
     Counterexample,
@@ -17,6 +18,8 @@ from anabel.monoids import (
     cone_member,
     is_kummer,
 )
+
+from fm_reference import solve_eq_ineq
 
 SEED = int(os.environ.get("ANABEL_SEED", "0"))
 
@@ -72,6 +75,20 @@ def test_cone_member():
     assert not cone_member((-1, 0), [(1, 1), (1, -1)])
     assert cone_member((0, 0), [])
     assert not cone_member((1,), [])
+
+
+def test_solve_eq_ineq():
+    # x + y = 1, x >= 1/2, y >= 1/3: x is the pivot, and the free y takes
+    # its lower bound
+    x = solve_eq_ineq([((1, 1), 1)], [((1, 0), Fraction(1, 2)), ((0, 1), Fraction(1, 3))], 2)
+    assert x == [Fraction(2, 3), Fraction(1, 3)]
+    assert all(isinstance(c, Fraction) for c in x)
+    # inconsistent equalities, and consistent ones with infeasible inequalities
+    assert solve_eq_ineq([((1, 1), 1), ((2, 2), 3)], [], 2) is None
+    assert solve_eq_ineq([((1, -1), 0)], [((1, 0), 1), ((0, -1), 0)], 2) is None
+    # no equalities, integer inequalities: the point is still exact
+    assert solve_eq_ineq([], [((2,), 1)], 1) == [Fraction(1, 2)]
+    assert solve_eq_ineq([], [], 0) == []
 
 
 def _reference_cone_member(v, gens):
@@ -245,8 +262,9 @@ def cone_gens(d, k):
         tuple([1] * d)]
 
 
-# The grading fixes the order in which `contains` searches generators, so a
-# change to the feasibility solver must not move it.
+# The grading fixes the weights by which `contains` searches generators, and
+# so the states its search visits; the pins on the benchmark's cone families
+# and n2.monoid keep those searches fixed.
 @pytest.mark.parametrize("gens,phi", [
     (cone_gens(2, 0), "1 1"),
     (cone_gens(3, 0), "1 1 1"),
@@ -257,12 +275,12 @@ def cone_gens(d, k):
     (cone_gens(3, 3), "1 0 0"),
     (cone_gens(4, 3), "1 0 0 0"),
     ("n2.monoid", "1 1"),
-    ([(2, 0), (0, 1), (1, 1)], "1/2 1"),
+    ([(2, 0), (0, 1), (1, 1)], "1 1"),
     ([(1, 1), (1, -1)], "1 0"),
     ([(1, 1), (-1, -1), (1, 0)], "1 -1"),
     ([(2, 1, 0), (-2, -1, 0), (0, 0, 1), (1, 1, 1)], "0 0 1"),
-    ([(3, 1), (1, 3), (2, 2)], "0 1"),
-    ([(1, 2, 3), (3, 1, 2), (2, 3, 1), (-1, 0, 0), (1, 0, 0)], "0 0 1"),
+    ([(3, 1), (1, 3), (2, 2)], "1 1"),
+    ([(1, 2, 3), (3, 1, 2), (2, 3, 1), (-1, 0, 0), (1, 0, 0)], "0 1 2"),
     ([(2, -1, 0), (0, 2, -1), (-1, 0, 2), (1, 1, 1)], "1 1 1"),
 ])
 def test_grading_witness_is_pinned(gens, phi):
@@ -271,7 +289,27 @@ def test_grading_witness_is_pinned(gens, phi):
         _, P = documents.load(path.read_text())
     else:
         P = AffineMonoid(len(gens[0]), gens)
-    assert P._grading() == [Fraction(c) for c in phi.split()]
+    assert P._grading() == tuple(int(c) for c in phi.split())
+
+
+def test_grading_and_units_from_facet_normals():
+    """The grading is a primitive integer vector, 0 on the unit generators
+    and >= 1 on the others, and the units are the generators g with -g in
+    the cone, as `cone_member` decides it."""
+    rng = random.Random(SEED)
+    for d in range(1, 5):
+        for gens in _random_generator_sets(rng, d):
+            P = AffineMonoid(d, gens)
+            units = P.unit_generator_indices()
+            assert units == {
+                i for i, g in enumerate(gens) if cone_member(tuple(-c for c in g), gens)
+            }, gens
+            phi = P._grading()
+            assert all(isinstance(c, int) for c in phi) and len(phi) == d
+            assert math.gcd(*phi) in (0, 1), (gens, phi)
+            for i, g in enumerate(gens):
+                value = sum(a * b for a, b in zip(phi, g))
+                assert (value == 0) if i in units else (value >= 1), (gens, phi, i)
 
 
 def test_sharp_quotient_requires_saturated():
@@ -287,6 +325,20 @@ def test_is_kummer():
     incl = MonoidMorphism(N2, N2, [[1, 0], [0, 1]])
     ok, _ = is_kummer(incl, [])
     assert ok
+
+
+@pytest.mark.parametrize("primes,bound,message", [
+    ([1], 60, "primes must be >= 2, got 1"),
+    ([2, 0], 60, "primes must be >= 2, got 0"),
+    ([-3], 60, "primes must be >= 2, got -3"),
+    ([2], 0, "bound must be >= 1"),
+    ([2], -5, "bound must be >= 1"),
+])
+def test_is_kummer_rejects_bad_primes_and_bounds(primes, bound, message):
+    # a prime 0 or 1 never grows the multiplier past the bound
+    with pytest.raises(ValueError) as exc:
+        is_kummer(times(2), primes, multiplier_bound=bound)
+    assert str(exc.value) == message
 
 
 def test_is_kummer_rejects_noninjective():
