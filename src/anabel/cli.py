@@ -15,7 +15,6 @@ from typing import List
 # each subcommand imports the library modules it runs, so a call loads
 # only those
 from . import documents
-from .documents import DocumentError
 
 
 class InputError(Exception):
@@ -30,7 +29,7 @@ def _load_document(path: str, expect=None):
         raise InputError(f"{path}: cannot read input: {exc}") from exc
     try:
         kind, obj = documents.load(text)
-    except (DocumentError, ValueError) as exc:
+    except ValueError as exc:
         raise InputError(f"{path}: {exc}") from exc
     if expect and kind not in expect:
         raise InputError(
@@ -249,12 +248,16 @@ def cmd_current_group(args) -> int:
 
 
 def cmd_cospec(args) -> int:
-    from .cospec import cospec_strata
+    from .cospec import CospecError, cospec_strata
 
     _, doc = _load_document(args.input, expect=("poset",))
     if doc.s2 is None or doc.incidence is None:
         raise InputError(f"{args.input}: cospec needs s1, s2 and incidence pairs")
-    mapping = cospec_strata(doc.s1, doc.s2, doc.incidence)
+    try:
+        mapping = cospec_strata(doc.s1, doc.s2, doc.incidence)
+    except CospecError as exc:
+        print(f"cospecialization failure: {exc}", file=sys.stderr)
+        return 1
     lines = [f"{k} -> {mapping[k]}" for k in sorted(mapping)]
     mlines = [f"{k}={mapping[k]}" for k in sorted(mapping)]
     _emit(lines, mlines, args.machine)
@@ -363,16 +366,7 @@ def main(argv=None) -> int:
     args = ap.parse_args(argv)
     try:
         return args.run(args)
-    except (InputError, DocumentError) as exc:
-        print(f"input error: {exc}", file=sys.stderr)
-        return 2
-    except (ValueError, KeyError) as exc:
-        # a CospecError exists only once its module is loaded; importing it
-        # here would load the polysimplicial layers for nothing
-        cospec = sys.modules.get("anabel.cospec")
-        if cospec is not None and isinstance(exc, cospec.CospecError):
-            print(f"cospecialization failure: {exc}", file=sys.stderr)
-            return 1
+    except (InputError, ValueError, KeyError) as exc:
         print(f"input error: {exc}", file=sys.stderr)
         return 2
     except Exception as exc:

@@ -377,48 +377,52 @@ def load_polysimplicial(node: Node) -> PolysimplicialSet:
             raise DocumentError(f"face {cell} along {along}: unknown target cell {target[0]}")
         faces[(cell, iota)] = Element(target[0], _parse_morphism(target[1:]))
     stabs = {c: frozenset(s) for c, s in stabs.items()}
-    faces = _close_faces(cells, stabs, faces)
-    return PolysimplicialSet(cells, stabs, faces)
+    C = PolysimplicialSet(cells, stabs, faces, validate=False)
+    _close_faces(C)
+    C.validate()
+    return C
 
 
-def _close_faces(cells, stabs, faces):
-    """Derive missing face entries by composing through the given ones, so
-    a generating set of injective assignments suffices in documents."""
-    from .poly import PolysimplicialSet, compose, index_dim, injections_into
+def _close_faces(C: PolysimplicialSet) -> None:
+    """Derive the missing face entries of C in place from the given ones,
+    so a generating set of injective assignments suffices in documents.
 
-    faces = dict(faces)
-    partial = PolysimplicialSet(cells, stabs, faces, validate=False)
-    partial.faces = faces  # share, so derived entries are visible to act()
-    for c in sorted(cells, key=lambda x: (index_dim(cells[x]), x)):
-        n = cells[c]
-        needed = [i for i in injections_into(n) if not i.is_iso()]
-        changed = True
-        while changed:
-            changed = False
-            for iota in needed:
-                if (c, iota) in faces:
+    Cells are taken in order of dimension. For each given entry (c, i) and
+    each non-invertible injection k into the source of i, a missing entry
+    (c, i*k) is set to act(x(c, i), k), x(c, i) being the given element.
+    One pass suffices: a composite of non-invertible injections is one, so
+    whatever a closure through derived entries reaches is reached from a
+    given entry. act reads only the face entries of the cell of x(c, i),
+    of lower dimension when the entry is normal, and those are complete.
+    Which given i reaches i*k does not matter: once the table validates,
+    functoriality gives act(x(c, i), k) = x(c, i*k) for all of them. So
+    any other order of derivation, a fixed-point sweep included, builds
+    the same table whenever either table validates.
+    """
+    from .poly import compose, index_dim, injections_into
+
+    given = {}
+    for (c, iota), entry in sorted(C.faces.items(),
+                                   key=lambda kv: (kv[0][0], kv[0][1].key())):
+        given.setdefault(c, []).append((iota, entry))
+    for c in sorted(C.cells, key=lambda x: (index_dim(C.cells[x]), x)):
+        todo = {i for i in injections_into(C.cells[c])
+                if not i.is_iso() and (c, i) not in C.faces}
+        for iota, entry in given.get(c, []):
+            if not todo:
+                break
+            for kappa in injections_into(iota.source):
+                if kappa.is_iso():
                     continue
-                for (c2, iota2), entry in sorted(
-                    faces.items(), key=lambda kv: (kv[0][0], kv[0][1].key())
-                ):
-                    if c2 != c or iota2.source == iota.source:
-                        continue
-                    for inner in injections_into(iota2.source):
-                        if inner.source != iota.source or inner.is_iso():
-                            continue
-                        if compose(iota2, inner) == iota:
-                            faces[(c, iota)] = partial.act(entry, inner)
-                            changed = True
-                            break
-                    if (c, iota) in faces:
-                        break
-        missing = [i for i in needed if (c, i) not in faces]
-        if missing:
+                derived = compose(iota, kappa)
+                if derived in todo:
+                    todo.discard(derived)
+                    C.faces[(c, derived)] = C.act(entry, kappa)
+        if todo:
             raise DocumentError(
                 f"face assignments of cell {c} do not generate: "
-                f"{len(missing)} restrictions are missing"
+                f"{len(todo)} restrictions are missing"
             )
-    return faces
 
 
 def dump_polysimplicial(C: PolysimplicialSet) -> str:
@@ -459,9 +463,13 @@ def load_graph_of_groups(node: Node) -> GraphOfFiniteGroups:
     G = load_graph(node.one_child("graph"))
     vgroups = {}
     for key, block in node.children("vertex-group"):
+        if len(key) != 2:
+            raise DocumentError("vertex-group blocks look like: vertex-group <vertex>:")
         vgroups[key[1]] = _load_table(block)
     egroups = {}
     for key, block in node.children("edge-group"):
+        if len(key) != 2:
+            raise DocumentError("edge-group blocks look like: edge-group <edge>:")
         egroups[key[1]] = _load_table(block)
     bmaps = {}
     for key, val in node.scalars("branch"):

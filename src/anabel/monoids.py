@@ -388,9 +388,7 @@ def is_kummer(phi: MonoidMorphism, primes: Sequence[int],
     L-integer multiple in the image. The multiplier search is bounded."""
     if multiplier_bound < 1:
         raise ValueError("bound must be >= 1")
-    for p in primes:
-        if p < 2:
-            raise ValueError(f"primes must be >= 2, got {p}")
+    _check_primes(primes)
     if not phi.injective_on_gp():
         return False, None
     image = phi.image_monoid()
@@ -399,6 +397,12 @@ def is_kummer(phi: MonoidMorphism, primes: Sequence[int],
         if not any(image.contains(tuple(n * c for c in t)) for n in mults):
             return False, t
     return True, None
+
+
+def _check_primes(primes: Sequence[int]) -> None:
+    for p in primes:
+        if p < 2:
+            raise ValueError(f"primes must be >= 2, got {p}")
 
 
 @dataclass(frozen=True)
@@ -465,6 +469,7 @@ def check_saturated_bounded(phi: MonoidMorphism, primes: Sequence[int], bound: i
     """
     if bound < 1:
         raise ValueError("bound must be >= 1")
+    _check_primes(primes)
     src = phi.source.elements_up_to_degree(bound)
     tgt = phi.target.elements_up_to_degree(bound)
     cand = phi.source.elements_up_to_degree(2 * bound)

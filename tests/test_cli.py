@@ -143,6 +143,23 @@ def test_bound_below_one_is_rejected(command, primes, bound):
     assert proc.stderr == "input error: bound must be >= 1\n"
 
 
+@pytest.mark.parametrize("block,form", [
+    ("vertex-group v:", "vertex-group <vertex>:"),
+    ("edge-group e:", "edge-group <edge>:"),
+])
+def test_group_block_without_id_is_rejected(tmp_path, block, form):
+    text = (DATA / "z3circle.gog").read_text()
+    assert block in text
+    doc = tmp_path / "noid.gog"
+    doc.write_text(text.replace(block, block.split()[0] + ":"))
+    proc = run_cli(["pi1", "--input", str(doc)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (
+        f"input error: {doc}: {block.split()[0]} blocks look like: {form}\n"
+    )
+
+
 @pytest.mark.parametrize("command", ["cover-enum", "verify-rigidity"])
 def test_graph_without_vertices_has_no_covers(tmp_path, command):
     doc = tmp_path / "empty.graph"

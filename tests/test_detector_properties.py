@@ -97,3 +97,57 @@ def test_rigidity_enumeration_recount():
     for G in graphs:
         assert G.is_connected()
         assert min(G.arity(v) for v in G.vertices) >= 3
+
+
+def _renamed_metric_pairs(rng):
+    """Seeded connected metric graphs G1 of rank 1 or 2 with loops,
+    parallel edges and cusps, each with a copy G2 under new vertex and edge
+    names in a shuffled order and with some edges reversed, so that G2's
+    chords need not be the images of G1's. G2's lengths are G1's carried
+    over, or G1's with one edge changed, or fresh."""
+    def L():
+        return F(rng.randint(1, 4), rng.randint(1, 3))
+
+    for _ in range(20):
+        vertices = ["u", "v", "w"][:rng.randint(1, 3)]
+        edges = {f"t{i}": (vertices[i], vertices[i + 1])
+                 for i in range(len(vertices) - 1)}
+        for i in range(rng.randint(1, 2)):
+            edges[f"c{i}"] = (rng.choice(vertices), rng.choice(vertices))
+        if rng.random() < 0.3:
+            edges["z"] = (rng.choice(vertices),)
+        G1 = MetricGraph(vertices, edges, {e: L() for e in edges})
+        vnames = rng.sample(["p", "q", "r", "s"], len(vertices))
+        enames = rng.sample([f"e{i}" for i in range(9)], len(edges))
+        vmap = dict(zip(vertices, vnames))
+        emap = dict(zip(sorted(edges), enames))
+        edges2 = {}
+        for e, ends in edges.items():
+            ends2 = tuple(vmap[x] for x in ends)
+            edges2[emap[e]] = ends2[::-1] if rng.random() < 0.5 else ends2
+        lengths2 = {emap[e]: G1.lengths[e] for e in edges}
+        roll = rng.random()
+        if roll < 0.4:
+            lengths2[rng.choice(sorted(lengths2))] = L()
+        elif roll < 0.6:
+            lengths2 = {e: L() for e in edges2}
+        G2 = MetricGraph(sorted(vnames), edges2, lengths2)
+        yield G1, G2, GraphIsomorphism(G1, G2, vmap, emap)
+
+
+def test_detector_matches_transport_reference():
+    # reading G2's lengths on G1's covers gives the witness of building
+    # each cover of G2 from G1's, under isomorphisms that are not identities
+    import os
+
+    import splitting_reference
+
+    rng = random.Random(int(os.environ.get("ANABEL_SEED", "0")))
+    found, moved_chords = set(), 0
+    for G1, G2, iso in _renamed_metric_pairs(rng):
+        p = rng.choice([2, 3, 5])
+        got = detect_metric_mismatch(G1, G2, iso, p)
+        assert got == splitting_reference.detect_metric_mismatch(G1, G2, iso, p)
+        found.add(got is None)
+        moved_chords += {iso.edge_map[e] for e in G1.chords()} != set(G2.chords())
+    assert found == {True, False} and moved_chords

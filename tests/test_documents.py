@@ -7,7 +7,7 @@ from anabel import documents
 from anabel.documents import DocumentError, dump_graph, dump_monoid, dump_polysimplicial, load, parse, serialize
 from anabel.graphs import BranchGraph, MetricGraph
 from anabel.monoids import AffineMonoid
-from anabel.poly import box_product, representable
+from anabel.poly import Element, box_product, representable
 
 
 def test_parse_serialize_roundtrip():
@@ -189,3 +189,64 @@ def test_malformed_extension_entries_rejected(old, new):
     with pytest.raises(DocumentError) as err:
         load(S3_EXTENSION.replace(old, new))
     assert "look like" in str(err.value)
+
+
+def _trimmed_tables(rng):
+    """Seeded face tables to load: each corpus complex keeps every
+    codimension-1 face entry and a random share of the others, then has
+    one kept entry retargeted to another cell of the same index, or one
+    codimension-1 entry dropped, or neither."""
+    from anabel.poly import index_dim
+
+    def order(key):
+        return key[0], key[1].key()
+
+    corpus = [representable(n) for n in
+              [(0,), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]]
+    corpus.append(load((pathlib.Path(__file__).parent / "data" / "torus.poly").read_text())[1])
+    for C in corpus:
+        for change in ["none", "retarget", "drop", "retarget"]:
+            keep = rng.random()
+            codim1 = sorted((k for k in C.faces
+                             if index_dim(k[1].source) == index_dim(C.cells[k[0]]) - 1),
+                            key=order)
+            faces = {k: C.faces[k] for k in sorted(C.faces, key=order)
+                     if k in codim1 or rng.random() < keep}
+            if faces and change == "retarget":
+                key = rng.choice(sorted(faces, key=order))
+                cell = faces[key].cell
+                others = sorted(d for d in C.cells
+                                if d != cell and C.cells[d] == C.cells[cell])
+                if others:
+                    faces[key] = Element(rng.choice(others), faces[key].epi)
+            elif faces and change == "drop":
+                del faces[rng.choice(codim1)]
+            yield C.cells, C.stabs, faces
+
+
+def test_close_faces_matches_reference():
+    # the one-pass closure of the loader against the fixed-point sweep it
+    # replaced, on trimmed and corrupted documents
+    import os
+    import random
+
+    import documents_reference
+    from anabel.poly import PolysimplicialSet
+
+    def outcome(build):
+        try:
+            C = build()
+        except ValueError as exc:
+            return type(exc), str(exc)
+        return sorted((c, iota.key(), e.cell, e.epi.key())
+                      for (c, iota), e in C.faces.items())
+
+    rng = random.Random(int(os.environ.get("ANABEL_SEED", "0")))
+    kinds = set()
+    for cells, stabs, faces in _trimmed_tables(rng):
+        text = dump_polysimplicial(PolysimplicialSet(cells, stabs, faces, validate=False))
+        got = outcome(lambda: load(text)[1])
+        want = outcome(lambda: documents_reference.load_tables(cells, stabs, faces))
+        assert got == want
+        kinds.add(got[0] if isinstance(got, tuple) else "loaded")
+    assert kinds == {"loaded", ValueError, DocumentError}

@@ -341,6 +341,14 @@ def test_is_kummer_rejects_bad_primes_and_bounds(primes, bound, message):
     assert str(exc.value) == message
 
 
+@pytest.mark.parametrize("p", [1, 0, -2])
+def test_saturated_check_rejects_primes_below_two(p):
+    # x2 : N -> N fails the check at p = 2, and passed it at these
+    with pytest.raises(ValueError) as exc:
+        check_saturated_bounded(times(2), [p], 2)
+    assert str(exc.value) == f"primes must be >= 2, got {p}"
+
+
 def test_is_kummer_rejects_noninjective():
     collapse = MonoidMorphism(N2, N, [[1, 1]])
     ok, _ = is_kummer(collapse, [2])
