@@ -375,7 +375,11 @@ def load_polysimplicial(node: Node) -> PolysimplicialSet:
         target = _need(block.one("target"), 1, "target = <cell> <morphism>")
         if target[0] not in cells:
             raise DocumentError(f"face {cell} along {along}: unknown target cell {target[0]}")
-        faces[(cell, iota)] = Element(target[0], _parse_morphism(target[1:]))
+        epi = _parse_morphism(target[1:])
+        if epi.target != cells[target[0]]:
+            raise DocumentError(f"face {cell} along {along}: target must end at the "
+                                f"index {_index_token(cells[target[0]])} of {target[0]}")
+        faces[(cell, iota)] = Element(target[0], epi)
     stabs = {c: frozenset(s) for c, s in stabs.items()}
     C = PolysimplicialSet(cells, stabs, faces, validate=False)
     _close_faces(C)

@@ -9,7 +9,7 @@ table, associativity on a generating set (Light's test, which is exact).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
 from typing import Dict, List, Sequence, Set, Tuple
@@ -26,18 +26,17 @@ class FiniteGroup:
 
     def __init__(self, table: Sequence[Sequence[int]]):
         self.table: Tuple[Tuple[int, ...], ...] = tuple(
-            tuple(int(x) for x in row) for row in table
+            tuple(map(int, row)) for row in table
         )
         n = len(self.table)
         self.order = n
         if any(len(r) != n for r in self.table):
             raise ValueError("table is not square")
-        if any(x < 0 or x >= n for r in self.table for x in r):
+        # square with n rows, so every row is nonempty
+        if any(min(r) < 0 or max(r) >= n for r in self.table):
             raise ValueError("table entries out of range")
         self._validate()
-        self.inverse = tuple(
-            next(b for b in range(n) if self.table[a][b] == 0) for a in range(n)
-        )
+        self.inverse = tuple(row.index(0) for row in self.table)
 
     def _validate(self):
         n = self.order
@@ -45,10 +44,12 @@ class FiniteGroup:
             raise ValueError("empty group")
         if any(self.table[0][b] != b or self.table[b][0] != b for b in range(n)):
             raise ValueError("element 0 is not an identity")
-        for a in range(n):
-            if sorted(self.table[a]) != list(range(n)):
+        full = list(range(n))
+        # row a and column a of the table
+        for row, col in zip(self.table, zip(*self.table)):
+            if sorted(row) != full:
                 raise ValueError("left translation is not a bijection")
-            if sorted(self.table[b][a] for b in range(n)) != list(range(n)):
+            if sorted(col) != full:
                 raise ValueError("right translation is not a bijection")
         if not self._associative_on(self._right_generators()):
             # name the first failing triple of the exhaustive scan
@@ -58,8 +59,8 @@ class FiniteGroup:
                     for c in range(n):
                         if self.table[ab][c] != self.table[a][self.table[b][c]]:
                             raise ValueError(f"associativity fails at {(a, b, c)}")
-        for a in range(n):
-            if not any(self.table[a][b] == 0 for b in range(n)):
+        for a, row in enumerate(self.table):
+            if 0 not in row:
                 raise ValueError(f"element {a} has no inverse")
 
     def _right_generators(self) -> List[int]:
@@ -139,10 +140,11 @@ class FiniteGroup:
         n = self.order
         if sorted(perm) != list(range(n)) or perm[0] != 0:
             return False
+        t = self.table
+        # perm(ab) = perm(a) perm(b), one row a at a time
         return all(
-            perm[self.table[a][b]] == self.table[perm[a]][perm[b]]
-            for a in range(n)
-            for b in range(n)
+            [perm[x] for x in row] == [t[pa][pb] for pb in perm]
+            for row, pa in zip(t, perm)
         )
 
     def automorphisms(self) -> List[Perm]:
@@ -536,25 +538,25 @@ class ExtensionData:
         for pair in itertools.product(range(H.order), repeat=2):
             if pair not in self.g or not (0 <= self.g[pair] < Pi.order):
                 raise ValueError(f"g{pair} missing or out of range")
+        Pt, Ht, alpha, g = Pi.table, H.table, self.alpha, self.g
         for h1 in range(H.order):
+            a1 = alpha[h1]
             for h2 in range(H.order):
-                lhs = tuple(self.alpha[h1][self.alpha[h2][x]] for x in range(Pi.order))
-                conj = Pi.conj_automorphism(self.g[(h1, h2)])
-                rhs = tuple(
-                    conj[self.alpha[H.op(h1, h2)][x]] for x in range(Pi.order)
-                )
+                lhs = tuple(a1[y] for y in alpha[h2])
+                conj = Pi.conj_automorphism(g[(h1, h2)])
+                rhs = tuple(conj[y] for y in alpha[Ht[h1][h2]])
                 if lhs != rhs:
                     raise CocycleError(
                         f"first cocycle condition fails at {(h1, h2)}", (h1, h2)
                     )
         for h1 in range(H.order):
+            a1, h1_row = alpha[h1], Ht[h1]
             for h2 in range(H.order):
+                # g_{h1,h2} g_{h1h2,h3} against alpha_h1(g_{h2,h3}) g_{h1,h2h3}
+                g12_row, h12, h2_row = Pt[g[(h1, h2)]], h1_row[h2], Ht[h2]
                 for h3 in range(H.order):
-                    lhs = Pi.op(self.g[(h1, h2)], self.g[(H.op(h1, h2), h3)])
-                    rhs = Pi.op(
-                        self.alpha[h1][self.g[(h2, h3)]],
-                        self.g[(h1, H.op(h2, h3))],
-                    )
+                    lhs = g12_row[g[(h12, h3)]]
+                    rhs = Pt[a1[g[(h2, h3)]]][g[(h1, h2_row[h3])]]
                     if lhs != rhs:
                         raise CocycleError(
                             f"second cocycle condition fails at {(h1, h2, h3)}",
@@ -586,9 +588,13 @@ class SchreierExtension:
     inclusion: Dict[int, int]  # Pi -> E
     projection: Dict[int, int]  # E -> H
     data: ExtensionData
+    _index: Dict[Tuple[int, int], int] = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        self._index = {el: i for i, el in enumerate(self.elements)}
 
     def element_index(self, h: int, g: int) -> int:
-        return self.elements.index((h, g))
+        return self._index[(h, g)]
 
 
 def schreier_extension(data: ExtensionData) -> SchreierExtension:
@@ -607,31 +613,31 @@ def schreier_extension(data: ExtensionData) -> SchreierExtension:
     # normalize: identity must be element 0 of the table
     elements.remove(ident)
     elements.insert(0, ident)
-    index = {el: i for i, el in enumerate(elements)}
-
-    def mul(a, b):
-        h1, x1 = a
-        h2, x2 = b
-        return (H.op(h1, h2), Pi.op(Pi.op(x1, data.alpha[h1][x2]), data.g[(h1, h2)]))
-
-    table = [[index[mul(a, b)] for b in elements] for a in elements]
+    # at[h][x] is the index of (h, x); the row of (h1, x1) takes (h2, x2) to
+    # (h1 h2, x1 alpha_h1(x2) g_{h1,h2}), read straight off the tables
+    at = [[0] * Pi.order for _ in range(H.order)]
+    for i, (hh, x) in enumerate(elements):
+        at[hh][x] = i
+    Ht, Pt = H.table, Pi.table
+    table = []
+    for h1, x1 in elements:
+        h_row, x_row, a = Ht[h1], Pt[x1], data.alpha[h1]
+        g_row = [data.g[(h1, h2)] for h2 in range(H.order)]
+        table.append([
+            at[h_row[h2]][Pt[x_row[a[x2]]][g_row[h2]]] for h2, x2 in elements
+        ])
     E = FiniteGroup(table)
     # quoted inverse formula agrees with the table inverse
     for i, (hh, x) in enumerate(elements):
         hinv = H.inv(hh)
-        formula = (
-            hinv,
-            Pi.op(
-                Pi.op(g11_inv, Pi.inv(data.g[(hinv, hh)])),
-                Pi.inv(data.alpha[hinv][x]),
-            ),
+        formula = Pi.op(
+            Pi.op(g11_inv, Pi.inv(data.g[(hinv, hh)])),
+            Pi.inv(data.alpha[hinv][x]),
         )
-        if index[formula] != E.inv(i):
+        if at[hinv][formula] != E.inv(i):
             raise AssertionError(f"inverse formula fails at {(hh, x)}")
-    inclusion = {
-        x: index[(0, Pi.op(x, g11_inv))] for x in range(Pi.order)
-    }
-    projection = {index[(hh, x)]: hh for (hh, x) in elements}
+    inclusion = {x: at[0][Pi.op(x, g11_inv)] for x in range(Pi.order)}
+    projection = {i: hh for i, (hh, _) in enumerate(elements)}
     _check_exactness(Pi, H, E, inclusion, projection)
     return SchreierExtension(E, elements, inclusion, projection, data)
 
@@ -643,10 +649,11 @@ def _check_exactness(Pi, H, E, inclusion, projection):
                 raise AssertionError("inclusion is not a homomorphism")
     if len(set(inclusion.values())) != Pi.order:
         raise AssertionError("inclusion is not injective")
-    for a in range(E.order):
-        for b in range(E.order):
-            if projection[E.op(a, b)] != H.op(projection[a], projection[b]):
-                raise AssertionError("projection is not a homomorphism")
+    proj = [projection[a] for a in range(E.order)]
+    for row, pa in zip(E.table, proj):
+        h_row = H.table[pa]
+        if [proj[ab] for ab in row] != [h_row[pb] for pb in proj]:
+            raise AssertionError("projection is not a homomorphism")
     if set(projection.values()) != set(range(H.order)):
         raise AssertionError("projection is not surjective")
     kernel = {a for a in range(E.order) if projection[a] == 0}

@@ -6,7 +6,10 @@ swaps the two slots of a real edge. Covers are represented by permutation
 assignments on the non-tree edges, one per orbit under simultaneous
 conjugation of the fibers. The orbit representatives (the lex-least
 assignment of each orbit) are generated directly by an orderly search, not
-found by canonicalizing every assignment.
+found by canonicalizing every assignment. An enumerated cover holds its
+assignment and its projection maps; its total graph is built from a
+template shared by the covers of one enumeration the first time it is read,
+so callers that only count covers or read their assignments never build one.
 """
 
 from __future__ import annotations
@@ -262,15 +265,42 @@ def _conj(p: Perm, t: Perm) -> Perm:
     return tuple(out)
 
 
-@dataclass
 class GraphCover:
-    base: BranchGraph
-    total: BranchGraph
-    vertex_map: Dict[str, str]
-    edge_map: Dict[str, str]
-    branch_map: Dict[Branch, Branch]
-    assignment: Tuple[Perm, ...] = ()
-    connected: bool = True
+    """A projection of the branch graph `total` onto `base`, given by its
+    vertex, edge and branch maps. An enumerated cover also carries its chord
+    assignment, and the template its total graph is built from on first
+    read; a cover built by hand passes `total` itself."""
+
+    def __init__(
+        self,
+        base: BranchGraph,
+        total: Optional[BranchGraph],
+        vertex_map: Dict[str, str],
+        edge_map: Dict[str, str],
+        branch_map: Dict[Branch, Branch],
+        assignment: Tuple[Perm, ...] = (),
+        connected: bool = True,
+        template: Optional[_CoverTemplate] = None,
+    ):
+        if total is None and template is None:
+            raise ValueError("a cover needs its total graph or a template to build it from")
+        self.base = base
+        self._total = total
+        self._template = template
+        self.vertex_map = vertex_map
+        self.edge_map = edge_map
+        self.branch_map = branch_map
+        self.assignment = assignment
+        self.connected = connected
+
+    def __repr__(self):
+        return f"GraphCover(base={self.base!r}, assignment={self.assignment!r})"
+
+    @property
+    def total(self) -> BranchGraph:
+        if self._total is None:
+            self._total = self._template.total(self.assignment)
+        return self._total
 
     def degree(self) -> int:
         counts = {v: 0 for v in self.base.vertices}
@@ -314,6 +344,39 @@ class GraphCover:
 
 def _encode(v, i):
     return f"{v}@{i}"
+
+
+class _CoverTemplate:
+    """What the total graphs of all degree-d covers of G share: the vertex
+    sheets, the lifted tree and cusp edges, and, per chord, the sheet names
+    of the edge and of its two end vertices."""
+
+    def __init__(self, G: BranchGraph, chords: Sequence[str], degree: int):
+        sheets = self.sheets = range(degree)
+        self.vertices = [_encode(v, i) for v in G.vertices for i in sheets]
+        chord_set = set(chords)
+        self.fixed_edges: Dict[str, Tuple[str, ...]] = {
+            _encode(e, i): tuple(_encode(v, i) for v in ends)
+            for e, ends in sorted(G.edges.items()) if e not in chord_set
+            for i in sheets
+        }
+        self.chord_names = []
+        for e in chords:
+            u, w = G.edges[e]
+            self.chord_names.append((
+                [_encode(e, i) for i in sheets],
+                [_encode(u, i) for i in sheets],
+                [_encode(w, j) for j in sheets],
+            ))
+
+    def total(self, assignment: Tuple[Perm, ...]) -> BranchGraph:
+        """The total graph of the cover whose chords carry `assignment`: a
+        chord joins sheet i of its first end to sheet p[i] of its second."""
+        edges = dict(self.fixed_edges)
+        for p, (tes, us, ws) in zip(assignment, self.chord_names):
+            for i in self.sheets:
+                edges[tes[i]] = (us[i], ws[p[i]])
+        return BranchGraph(self.vertices, edges)
 
 
 def _orbit_representatives(c: int, perms: List[Perm]) -> List[Tuple[Perm, ...]]:
@@ -368,12 +431,14 @@ def enumerate_covers(G: BranchGraph, degree: int) -> List[GraphCover]:
     each orbit, in lex order.
 
     Everything but the chord edges of the total graph is the same for every
-    cover, so the vertex, edge and branch maps and the lifted tree and cusp
-    edges are built once as a template; each cover copies the template and
-    fills in its chords. Sheet i of a branch lies over it at sheet i of its
-    vertex, and a chord joins sheet i to sheet p[i] for a permutation p, so
-    every such projection is a cover and none is re-validated;
-    `GraphCover.validate` checks covers built by hand.
+    cover, so the vertex, edge and branch maps are built once, and each
+    cover gets its own copy of them; the total graph is built from a shared
+    `_CoverTemplate` and the cover's assignment when `GraphCover.total` is
+    first read, so an unread cover costs its assignment and three dict
+    copies. Sheet i of a branch lies over it at sheet i of its vertex, and
+    a chord joins sheet i to sheet p[i] for a permutation p, so every such
+    projection is a cover and none is re-validated; `GraphCover.validate`
+    checks covers built by hand.
     """
     if degree < 1:
         raise ValueError("degree must be >= 1")
@@ -383,47 +448,30 @@ def enumerate_covers(G: BranchGraph, degree: int) -> List[GraphCover]:
         raise ValueError("graph is not connected; cover enumeration needs a connected graph")
     chords = G.chords()
     reps = _orbit_representatives(len(chords), _perms(degree))
-    sheets = range(degree)
-    vertices = [_encode(v, i) for v in G.vertices for i in sheets]
+    template = _CoverTemplate(G, chords, degree)
+    sheets = template.sheets
     vertex_map = {_encode(v, i): v for v in G.vertices for i in sheets}
-    fixed_edges: Dict[str, Tuple] = {}
     edge_map: Dict[str, str] = {}
     branch_map: Dict[Branch, Branch] = {}
-    chord_set = set(chords)
     for e in sorted(G.edges):
-        ends = G.edges[e]
         for i in sheets:
             te = _encode(e, i)
-            if e not in chord_set:
-                fixed_edges[te] = tuple(_encode(v, i) for v in ends)
-            for slot in range(len(ends)):
+            for slot in range(len(G.edges[e])):
                 branch_map[(te, slot)] = (e, slot)
             edge_map[te] = e
-    # per chord: the sheet names of the edge and of its two end vertices
-    chord_names = []
-    for e in chords:
-        u, w = G.edges[e]
-        chord_names.append((
-            [_encode(e, i) for i in sheets],
-            [_encode(u, i) for i in sheets],
-            [_encode(w, j) for j in sheets],
-        ))
-    covers = []
-    for assignment in reps:
-        edges = dict(fixed_edges)
-        for p, (tes, us, ws) in zip(assignment, chord_names):
-            for i in sheets:
-                edges[tes[i]] = (us[i], ws[p[i]])
-        covers.append(GraphCover(
+    return [
+        GraphCover(
             base=G,
-            total=BranchGraph(vertices, edges),
+            total=None,
             vertex_map=dict(vertex_map),
             edge_map=dict(edge_map),
             branch_map=dict(branch_map),
             assignment=assignment,
             connected=_transitive(assignment, degree),
-        ))
-    return covers
+            template=template,
+        )
+        for assignment in reps
+    ]
 
 
 def _transitive(perms: Sequence[Perm], d: int) -> bool:
@@ -473,10 +521,23 @@ def rigidity_kernel(
     its image in G, and the kernel is the nullspace of all such rows. The
     rows found so far are kept as one reduced row echelon basis, which
     depends only on their span, so the result does not depend on the order
-    in which covers are walked. Once that basis has a pivot in every
-    real-edge column its span is all of Q^E, so further rows cannot change
-    it and the kernel is 0: the walk stops there, after at least the
-    degree-1 cover.
+    in which covers are walked.
+
+    The walk stops once that span is certified final. Let K be spanned by
+    e_c - e_d for each vertex with exactly two real branches, on distinct
+    edges c and d (neither is a loop, which would give two branches by
+    itself), and by e_c for each vertex with exactly one real branch, on
+    edge c. Every row is orthogonal to K. A lift of such a vertex has the
+    same real branches, one over c and one over d, and each lift of c or d
+    has exactly one end at a lift of the vertex; a simple cycle through the
+    lift enters by one of the two and leaves by the other, so it uses lifts
+    of c and of d equally often. With a single real branch no simple cycle
+    passes through the lift, so none uses a lift of c. Hence the span of
+    all rows lies in the annihilator of K, of dimension |E| - dim K, and
+    once the basis reaches that rank its span is the annihilator: further
+    rows cannot change it, and the kernel is K. With K = 0 this is the
+    stop at a pivot in every real-edge column. The walk still takes at
+    least the degree-1 cover.
     """
     if max_degree < 1:
         raise ValueError("max_degree must be >= 1")
@@ -489,16 +550,25 @@ def rigidity_kernel(
             "vertices of arity < 3: " + ", ".join(low)
         )
     # graph loading and cover enumeration skip intlin
-    from .intlin import nullspace, row_reduce
+    from .intlin import fold_row, nullspace, rank
 
     edges = G.real_edges()
     index = {e: i for i, e in enumerate(edges)}
+    certified = []
+    for v in G.vertices:
+        real = [index[e] for e, _ in G._branches_at[v] if e in index]
+        if len(real) in (1, 2) and len(set(real)) == len(real):
+            row = [0] * len(edges)
+            row[real[0]] = 1
+            if len(real) == 2:
+                row[real[1]] = -1
+            certified.append(row)
+    final_rank = len(edges) - rank(certified, len(edges))
     seen: Set[Tuple[int, ...]] = set()
     basis: List[List[Fraction]] = []
     pivots: List[int] = []
     covers = (c for d in range(1, max_degree + 1) for c in enumerate_covers(G, d))
     for cover in covers:
-        new = []
         for cycle in cover.total.simple_cycles():
             row = [0] * len(edges)
             for te in cycle:
@@ -506,10 +576,8 @@ def rigidity_kernel(
             row = tuple(row)
             if row not in seen:
                 seen.add(row)
-                new.append(row)
-        if new:
-            basis, pivots = row_reduce(basis + new, len(edges))
-        if len(pivots) == len(edges):
+                basis, pivots = fold_row(basis, pivots, row)
+        if len(pivots) == final_rank:
             break
     return [
         {e: vec[i] for e, i in index.items()} for vec in nullspace(basis, len(edges))

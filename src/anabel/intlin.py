@@ -1,19 +1,20 @@
 """Exact linear algebra: row reduction over Q, Smith normal form over Z.
 
-These are the library's two eliminations. Over Q: row reduction, nullspace
-and rank. Over Z: primality, Smith normal form, f.g. abelian groups,
-cokernels and lattice membership. One reduction loop serves the Smith form;
-`smith_normal_form` has it track U and V, while `smith_diagonal` (behind
-cokernels, kernel ranks, mod-n solution groups and lattice membership)
-tracks no transforms. An entry the pivot does not divide is cleared by a
-2 x 2 gcd step, so the pivot shrinks to the gcd and no unreduced remainder
-row becomes the next pivot; that is what keeps entries from running away.
-Everything works with plain integers and `Fraction`, so there is no
-overflow.
+These are the library's two eliminations. Over Q: row reduction, one row
+folded into a reduced basis, nullspace and rank. Over Z: primality, Smith
+normal form, f.g. abelian groups, cokernels and lattice membership. One
+reduction loop serves the Smith form; `smith_normal_form` has it track U
+and V, while `smith_diagonal` (behind cokernels, kernel ranks, mod-n
+solution groups and lattice membership) tracks no transforms. An entry
+the pivot does not divide is cleared by a 2 x 2 gcd step, so the pivot
+shrinks to the gcd and no unreduced remainder row becomes the next pivot;
+that is what keeps entries from running away. Everything works with plain
+integers and `Fraction`, so there is no overflow.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, isqrt, prod
@@ -183,6 +184,40 @@ def row_reduce(rows: Sequence[Sequence], ncols: int) -> Tuple[List[List[Fraction
                 a[i] = [x - f * y if y else x for x, y in zip(row, prow)]
         pivots.append(c)
     return a[: len(pivots)], pivots
+
+
+def fold_row(
+    basis: List[List[Fraction]], pivots: List[int], row: Sequence
+) -> Tuple[List[List[Fraction]], List[int]]:
+    """Fold one row into a reduced row echelon form: returns
+    `row_reduce(basis + [row], len(row))` for (basis, pivots) as
+    `row_reduce` returns them, without reducing the basis again.
+
+    The row is cleared at every pivot column by the basis row that has a 1
+    there. If nothing is left it is in the span, and (basis, pivots) is
+    returned as it is. Otherwise its first nonzero column becomes a new
+    pivot: the rest is scaled to 1 there, and that column is cleared from
+    the basis rows. The rest is 0 at the old pivot columns and before its
+    own, so each basis row keeps its pivot and its zeros; the result is in
+    reduced echelon form with the span of basis + [row], and that form is
+    unique.
+    """
+    r = [Fraction(x) for x in row]
+    for b, p in zip(basis, pivots):
+        f = r[p]
+        if f:
+            r = [x - f * y if y else x for x, y in zip(r, b)]
+    lead = next((c for c, x in enumerate(r) if x), None)
+    if lead is None:
+        return basis, pivots
+    inv = 1 / r[lead]
+    r = [x * inv if x else x for x in r]
+    k = bisect_left(pivots, lead)
+    basis = [
+        [x - b[lead] * y if y else x for x, y in zip(b, r)] if b[lead] else b
+        for b in basis
+    ]
+    return basis[:k] + [r] + basis[k:], pivots[:k] + [lead] + pivots[k:]
 
 
 def nullspace(rows: Sequence[Sequence], ncols: int) -> List[List[Fraction]]:

@@ -184,6 +184,27 @@ def test_complex_without_cells_has_no_pi1(tmp_path, command):
     assert proc.stderr == "input error: complex has no cells, so pi1 has no base point\n"
 
 
+def test_face_target_off_its_cell_is_an_input_error(tmp_path):
+    # Λ(2) with top cell t and only t's edges given; the edge along 1 2 0 1
+    # points at t through a morphism ending at [1], not at t's index [2]
+    import re
+
+    from anabel.documents import dump_polysimplicial
+    from anabel.poly import representable
+
+    text = dump_polysimplicial(representable((2,))).replace("s012", "t")
+    text = re.sub(r"face t:\n  along = 0 2 \d\n  target = .*\n", "", text)
+    old = "along = 1 2 0 1\n  target = s01 1 1 0 1\n"
+    assert old in text
+    doc = tmp_path / "misdirected.poly"
+    doc.write_text(text.replace(old, "along = 1 2 0 1\n  target = t 1 1 0 1\n"))
+    proc = run_cli(["pi1", "--input", str(doc)])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == (f"input error: {doc}: face t along 1 2 0 1: target must "
+                           "end at the index 2 of t\n")
+
+
 def test_oversized_cell_is_rejected_before_enumeration(tmp_path):
     # loading enumerates every injection into a cell's index; [9] has
     # millions, and the loader refuses it before enumerating any

@@ -148,6 +148,25 @@ def test_polysimplicial_nongenerating_set_rejected():
     assert "generate" in str(err.value)
 
 
+@pytest.mark.parametrize("trim", [False, True])
+def test_face_target_must_end_at_its_cell(trim):
+    # the edge of Λ(2) along 1 2 0 1 pointed at the top cell through a
+    # morphism ending at [1]; with only the top cell's edges given, closing
+    # its faces used to reach act() and fail there with a KeyError
+    import re
+
+    text = dump_polysimplicial(representable((2,)))
+    if trim:
+        text = re.sub(r"face s012:\n  along = 0 2 \d\n  target = .*\n", "", text)
+    old = "along = 1 2 0 1\n  target = s01 1 1 0 1\n"
+    assert old in text
+    with pytest.raises(DocumentError) as err:
+        load(text.replace(old, "along = 1 2 0 1\n  target = s012 1 1 0 1\n"))
+    assert str(err.value) == (
+        "face s012 along 1 2 0 1: target must end at the index 2 of s012"
+    )
+
+
 def test_injection_bound_bounds_the_enumeration():
     from anabel.poly import injections_into
 

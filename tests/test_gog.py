@@ -391,3 +391,157 @@ def test_benchmark_extensions_are_groups(name):
         gamma = {h: rng.randrange(data.pi.order) for h in range(data.h.order)}
         regauged = schreier_extension(schreier_regauge(data, gamma)[0])
         assert _reference_associative(regauged.group.table) is None
+
+
+# -- group and extension checks against their element-by-element versions --------------
+
+
+def _reference_group(table):
+    """FiniteGroup's checks and inverses element by element: the reason it
+    refuses the table, or the tuple of inverses."""
+    t = tuple(tuple(int(x) for x in row) for row in table)
+    n = len(t)
+    if any(len(r) != n for r in t):
+        return "table is not square"
+    if any(x < 0 or x >= n for r in t for x in r):
+        return "table entries out of range"
+    if n == 0:
+        return "empty group"
+    if any(t[0][b] != b or t[b][0] != b for b in range(n)):
+        return "element 0 is not an identity"
+    for a in range(n):
+        if sorted(t[a]) != list(range(n)):
+            return "left translation is not a bijection"
+        if sorted(t[b][a] for b in range(n)) != list(range(n)):
+            return "right translation is not a bijection"
+    reason = _reference_associative(t)
+    if reason is not None:
+        return reason
+    for a in range(n):
+        if not any(t[a][b] == 0 for b in range(n)):
+            return f"element {a} has no inverse"
+    return tuple(next(b for b in range(n) if t[a][b] == 0) for a in range(n))
+
+
+def _group_outcome(table):
+    try:
+        return FiniteGroup(table).inverse
+    except ValueError as exc:
+        return str(exc)
+
+
+def _corrupted_tables(rng, table):
+    n = len(table)
+    out = []
+    for _ in range(6):
+        t = [list(row) for row in table]
+        a, b, c = rng.randrange(n), rng.randrange(n), rng.randrange(n)
+        kind = rng.randrange(5)
+        if kind == 0:  # swap two entries of a row: the columns break
+            t[a][b], t[a][c] = t[a][c], t[a][b]
+        elif kind == 1:  # swap two entries of a column: the rows break
+            t[b][a], t[c][a] = t[c][a], t[b][a]
+        elif kind == 2:  # any value, out of range included
+            t[a][b] = rng.randrange(-1, n + 1)
+        elif kind == 3:  # swap two columns other than column 0
+            b, c = 1 + b % max(n - 1, 1), 1 + c % max(n - 1, 1)
+            for row in t[1:]:
+                row[b], row[c] = row[c], row[b]
+        else:  # a ragged row
+            t[a] = t[a][:-1]
+        out.append(t)
+    return out
+
+
+def _reference_is_automorphism(G, perm):
+    n = G.order
+    if sorted(perm) != list(range(n)) or perm[0] != 0:
+        return False
+    return all(perm[G.table[a][b]] == G.table[perm[a]][perm[b]]
+               for a in range(n) for b in range(n))
+
+
+def _reference_extension_check(data):
+    """ExtensionData.validate with one group operation per product: None,
+    or the exception type, message and witness."""
+    Pi, H, alpha, g = data.pi, data.h, data.alpha, data.g
+    for hh in range(H.order):
+        if alpha.get(hh) is None or not _reference_is_automorphism(Pi, alpha[hh]):
+            return ("ValueError", f"alpha[{hh}] is not an automorphism of Pi", None)
+    for pair in itertools.product(range(H.order), repeat=2):
+        if pair not in g or not (0 <= g[pair] < Pi.order):
+            return ("ValueError", f"g{pair} missing or out of range", None)
+    for h1 in range(H.order):
+        for h2 in range(H.order):
+            lhs = tuple(alpha[h1][alpha[h2][x]] for x in range(Pi.order))
+            conj = Pi.conj_automorphism(g[(h1, h2)])
+            rhs = tuple(conj[alpha[H.op(h1, h2)][x]] for x in range(Pi.order))
+            if lhs != rhs:
+                return ("CocycleError", f"first cocycle condition fails at {(h1, h2)}",
+                        (h1, h2))
+    for h1, h2, h3 in itertools.product(range(H.order), repeat=3):
+        lhs = Pi.op(g[(h1, h2)], g[(H.op(h1, h2), h3)])
+        rhs = Pi.op(alpha[h1][g[(h2, h3)]], g[(h1, H.op(h2, h3))])
+        if lhs != rhs:
+            return ("CocycleError", f"second cocycle condition fails at {(h1, h2, h3)}",
+                    (h1, h2, h3))
+    return None
+
+
+def _extension_outcome(data):
+    try:
+        data.validate()
+    except ValueError as exc:
+        return (type(exc).__name__, str(exc), getattr(exc, "witness", None))
+    return None
+
+
+def test_group_checks_match_reference():
+    rng = random.Random(SEED)
+    groups = [FiniteGroup.trivial(), Z2, Z3, Z4, S3, FiniteGroup.cyclic(5),
+              FiniteGroup.direct_product(Z2, Z2), FiniteGroup.direct_product(Z2, S3)]
+    tables = [[]]
+    for G in groups:
+        tables.append(G.table)
+        tables += _corrupted_tables(rng, G.table)
+    tables += [_random_loop(rng, n) for n in range(2, 6) for _ in range(10)]
+    outcomes = set()
+    for table in tables:
+        want = _reference_group(table)
+        assert _group_outcome(table) == want, table
+        outcomes.add(want if isinstance(want, str) else "group")
+    assert {"group", "left translation is not a bijection", "table is not square",
+            "right translation is not a bijection", "table entries out of range"} <= outcomes
+    for G in groups[:7]:  # orders up to 6
+        for perm in itertools.permutations(range(G.order)):
+            assert G.is_automorphism(perm) == _reference_is_automorphism(G, perm)
+
+
+def test_extension_checks_match_reference():
+    rng = random.Random(SEED)
+    cases = []
+    for name in sorted(BENCHMARK_EXTENSIONS):
+        make, *args = BENCHMARK_EXTENSIONS[name]
+        data = make(*args)
+        gamma = {h: rng.randrange(data.pi.order) for h in range(data.h.order)}
+        cases += [data, schreier_regauge(data, gamma)[0]]
+    for Pi, H in [(Z3, Z2), (FiniteGroup.cyclic(5), Z2), (FiniteGroup.cyclic(5), Z3),
+                  (S3, Z2), (FiniteGroup.direct_product(Z2, Z2), Z3)]:
+        auts = Pi.automorphisms()
+        for _ in range(25):
+            alpha = {h: rng.choice(auts) for h in range(H.order)}
+            if rng.random() < 0.2:
+                alpha[rng.randrange(H.order)] = tuple(rng.sample(range(Pi.order), Pi.order))
+            if rng.random() < 0.5:
+                g = {p: 0 for p in itertools.product(range(H.order), repeat=2)}
+            else:
+                g = {p: rng.randrange(Pi.order) if rng.random() < 0.3 else 0
+                     for p in itertools.product(range(H.order), repeat=2)}
+            cases.append(ExtensionData(Pi, H, alpha, g))
+    outcomes = set()
+    for data in cases:
+        want = _reference_extension_check(data)
+        assert _extension_outcome(data) == want
+        outcomes.add(None if want is None else want[1].split(" at ")[0].split("[")[0])
+    assert {None, "alpha", "first cocycle condition fails",
+            "second cocycle condition fails"} <= outcomes

@@ -460,6 +460,31 @@ def test_enumerate_covers_matches_reference(case):
         _reference_validate(a)
 
 
+def _count_builds(monkeypatch):
+    """A list that gets one entry per BranchGraph built from now on."""
+    built = []
+    init = BranchGraph.__init__
+    monkeypatch.setattr(BranchGraph, "__init__",
+                        lambda self, *args: built.append(self) or init(self, *args))
+    return built
+
+
+def test_cover_totals_are_built_on_read(monkeypatch):
+    G = _cubic_graph(4, random.Random(SEED))
+    built = _count_builds(monkeypatch)
+    assert len(enumerate_covers(G, 3)) == _burnside_orbit_count(4, 3)
+    assert built == []
+    covers = enumerate_covers(G, 3)
+    for k, cover in enumerate(covers, 1):
+        total = cover.total
+        assert cover.total is total and len(built) == k
+    monkeypatch.undo()
+    want = _reference_enumerate_covers(G, 3)
+    assert [(c.total.vertices, c.total.edges) for c in covers] == [
+        (c.total.vertices, c.total.edges) for c in want
+    ]
+
+
 def test_covers_own_their_maps():
     # writing to one cover's maps leaves the next one alone
     first, second = enumerate_covers(theta(), 2)[:2]
@@ -881,6 +906,26 @@ def _reference_rigidity_kernel(G, max_degree):
                     rows.add(tuple(row))
     basis = nullspace(sorted(rows), len(edges))
     return [{e: vec[i] for e, i in index.items()} for vec in basis]
+
+
+def test_rigidity_search_stops_at_certified_kernel(monkeypatch):
+    # rank 3, and x has exactly two real branches, on d and e: every cover
+    # keeps e_d - e_e in the kernel, and the degree-1 cover's cycles already
+    # reach rank 5, so only that cover's total graph is built
+    G = BranchGraph(["u", "v", "w", "x"], {
+        "a": ("u", "v"), "b": ("u", "v"), "c": ("v", "w"),
+        "d": ("w", "x"), "e": ("x", "u"), "f": ("w", "u"),
+    })
+    built = _count_builds(monkeypatch)
+    start = time.perf_counter()
+    basis, warnings = rigidity_kernel(G, 5)
+    elapsed = time.perf_counter() - start
+    monkeypatch.undo()
+    assert len(built) == 1
+    assert basis == [{"a": 0, "b": 0, "c": 0, "d": -1, "e": 1, "f": 0}]
+    assert basis == _reference_rigidity_kernel(G, 3)
+    assert warnings == ["vertices of arity < 3: x"]
+    assert elapsed < 1.0
 
 
 def _random_connected_graph(rng):

@@ -9,6 +9,7 @@ from anabel.intlin import (
     FgAbGroup,
     IntMatrix,
     cokernel_group,
+    fold_row,
     is_prime,
     kernel_rank,
     lattice_member,
@@ -246,6 +247,26 @@ def test_row_reduce():
     assert row_reduce([[0, 0], [0, 0]], 2) == ([], [])
     # pivots are searched only in the first ncols columns
     assert row_reduce([[0, 1]], 1) == ([], [])
+
+
+def test_fold_row_matches_row_reduce():
+    # folding rows in one at a time gives the echelon form of all of them,
+    # after every row, including rows already in the span and zero rows
+    rng = random.Random(SEED)
+    grew = stayed = 0
+    for _ in range(200):
+        _, m, rows = _random_matrix(rng)
+        rows += [[2 * x for x in r] for r in rows[:2]]
+        rng.shuffle(rows)
+        basis, pivots = [], []
+        for k, row in enumerate(rows, 1):
+            before = len(pivots)
+            basis, pivots = fold_row(basis, pivots, row)
+            assert (basis, pivots) == row_reduce(rows[:k], m)
+            assert all(isinstance(x, Fraction) for b in basis for x in b)
+            grew += len(pivots) > before
+            stayed += len(pivots) == before
+    assert grew > 100 and stayed > 100
 
 
 def test_nullspace_and_rank():
