@@ -475,15 +475,20 @@ def enumerate_covers(G: BranchGraph, degree: int) -> List[GraphCover]:
 
 
 def _transitive(perms: Sequence[Perm], d: int) -> bool:
+    """Do the permutations of {0, ..., d-1} generate a transitive group?
+
+    Every permutation p has finite order k, so p^-1 = p^(k-1): the orbit of
+    0 under the group is its orbit under forward steps alone, and no
+    inverse is ever looked up."""
     reach = {0}
     frontier = [0]
     while frontier:
         x = frontier.pop()
         for p in perms:
-            for y in (p[x], p.index(x)):
-                if y not in reach:
-                    reach.add(y)
-                    frontier.append(y)
+            y = p[x]
+            if y not in reach:
+                reach.add(y)
+                frontier.append(y)
     return len(reach) == d
 
 

@@ -4,12 +4,13 @@ These are the library's two eliminations. Over Q: row reduction, one row
 folded into a reduced basis, nullspace and rank. Over Z: primality, Smith
 normal form, f.g. abelian groups, cokernels and lattice membership. One
 reduction loop serves the Smith form; `smith_normal_form` has it track U
-and V, while `smith_diagonal` (behind cokernels, kernel ranks, mod-n
-solution groups and lattice membership) tracks no transforms. An entry
-the pivot does not divide is cleared by a 2 x 2 gcd step, so the pivot
-shrinks to the gcd and no unreduced remainder row becomes the next pivot;
-that is what keeps entries from running away. Everything works with plain
-integers and `Fraction`, so there is no overflow.
+and V, lattice membership has it track V alone, once per generator set,
+and `smith_diagonal` (behind cokernels, kernel ranks and mod-n solution
+groups) tracks no transforms. An entry the pivot does not divide is
+cleared by a 2 x 2 gcd step, so the pivot shrinks to the gcd and no
+unreduced remainder row becomes the next pivot; that is what keeps entries
+from running away. Everything works with plain integers and `Fraction`, so
+there is no overflow.
 """
 
 from __future__ import annotations
@@ -17,7 +18,8 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
-from math import gcd, isqrt, prod
+from math import gcd, isqrt
+from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
 
@@ -424,23 +426,38 @@ def solution_group_mod(M: IntMatrix, n: int) -> FgAbGroup:
 def lattice_member(vecs: Sequence[Sequence[int]], target: Sequence[int]) -> bool:
     """Is target in the sublattice L of Z^d generated by vecs?
 
-    The product of the nonzero Smith invariants of a lattice is its index in
-    its saturation. L is contained in L + Z target, and both lie in the
-    saturation of L exactly when their ranks agree, so target is in L iff
-    the two have the same number of nonzero invariants and the same product.
+    Let U M V = S be the Smith form of the matrix M whose rows are vecs.
+    U is unimodular, so L = Z^k M = Z^k S V^-1, and x lies in L iff x V is
+    an integral combination of the rows of S: iff (x V)_j is a multiple of
+    d_j for each nonzero invariant d_j, and (x V)_j = 0 past the rank. V
+    comes from one reduction per generator set, so a query is d dot
+    products at most.
     """
     if not vecs:
         return all(t == 0 for t in target)
     gens = tuple(map(tuple, vecs))
     if len(gens[0]) != len(target):
         raise ValueError("ambient dimension mismatch")
-    ours = _nonzero_invariants(gens)
-    theirs = [x for x in smith_diagonal(IntMatrix.from_rows([*gens, target])) if x]
-    return len(ours) == len(theirs) and prod(ours) == prod(theirs)
+    for column, d in _lattice_transform(gens):
+        z = sum(map(mul, target, column))
+        if z % d if d else z:
+            return False
+    return True
 
 
 @lru_cache(maxsize=256)
-def _nonzero_invariants(gens: Tuple[Tuple[int, ...], ...]) -> Tuple[int, ...]:
-    """The nonzero Smith invariants of a generator set, reduced once per set:
-    `is_saturated` and `saturation` ask about many points of one lattice."""
-    return tuple(x for x in smith_diagonal(IntMatrix.from_rows(gens)) if x)
+def _lattice_transform(gens: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[Tuple[int, ...], int], ...]:
+    """(column j of V, d_j) for each j with d_j != 1, where U M V = S is the
+    Smith form of the rows gens and d_j = 0 past the rank; a unit invariant
+    constrains nothing. `is_saturated`, `saturation` and monoid membership
+    ask about many points of one lattice, so each set is reduced once."""
+    k, d = len(gens), len(gens[0])
+    a = [list(g) for g in gens]
+    v = IntMatrix.identity(d).to_rows()
+    _smith_form(a, k, d, None, v)
+    out = []
+    for j in range(d):
+        dj = a[j][j] if j < k else 0
+        if dj != 1:
+            out.append((tuple(row[j] for row in v), dj))
+    return tuple(out)

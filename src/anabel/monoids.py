@@ -13,7 +13,8 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd, lcm
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from operator import mul
+from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .intlin import (
     FgAbGroup, IntMatrix, lattice_member, nullspace, rank, row_reduce, smith_normal_form,
@@ -30,7 +31,7 @@ def _primitive(v: Sequence) -> Vec:
 
 
 def _dot(a: Sequence[int], x: Sequence[int]) -> int:
-    return sum(p * c for p, c in zip(a, x))
+    return sum(map(mul, a, x))
 
 
 def _combine(s: int, x: Vec, t: int, y: Vec) -> Vec:
@@ -85,9 +86,84 @@ def _cone_inequalities(gens: Tuple[Vec, ...], dim: int) -> Tuple[Tuple[Vec, ...]
 
 def cone_member(v: Sequence[int], gens: Sequence[Vec]) -> bool:
     """Is v in the rational cone spanned by gens?"""
-    equations, facets = _cone_inequalities(tuple(map(tuple, gens)), len(v))
+    return _in_cone(v, *_cone_inequalities(tuple(map(tuple, gens)), len(v)))
+
+
+def _in_cone(v: Sequence[int], equations: Tuple[Vec, ...], facets: Tuple[Vec, ...]) -> bool:
     return (all(_dot(e, v) == 0 for e in equations)
             and all(_dot(a, v) >= 0 for a in facets))
+
+
+class _MembershipPlan:
+    """What membership in one monoid P reads, built once per monoid.
+
+    It holds the cone's equations and facet normals, the unit generators
+    (those on which every facet normal vanishes), the other generators with
+    their weights under the grading, and the search's memo.
+
+    The grading phi is the primitive vector on the ray of the sum of the
+    facet normals. The facet normals are the extreme rays of the dual cone
+    {a in L : a.g >= 0 for every g} inside the span L of the generators, and
+    that dual cone is pointed, so their sum lies in its relative interior.
+    Each normal is 0 on a unit g, as a.g >= 0 and a.(-g) >= 0. A generator
+    on which every normal vanishes is a unit, since -g then satisfies every
+    inequality of the cone; so on every other generator some integer normal
+    is >= 1 and the others are >= 0, and the sum is >= 1. Dividing the sum
+    by the gcd of its entries keeps the values on generators positive
+    integers.
+
+    The search state (idx, r) asks whether r is an N-combination of the
+    non-unit generators from idx on plus a Z-combination of the units. Its
+    budget, the weight those non-unit coefficients must add up to, is
+    phi(r), so the answer is a function of (idx, r) alone: it depends
+    neither on the path that reached the state nor on the query that
+    started the search. So one memo, holding successes and failures, serves
+    every query on P, and it is freed with P. At budget 0 every remaining
+    coefficient is 0, so such a state is filed under idx = len(others).
+    A positive budget always has a non-unit generator left to spend it on:
+    the last one's coefficient is forced to spend it all, and with no
+    non-unit generators there are no facet normals, so phi = 0.
+    """
+
+    __slots__ = ("equations", "facets", "units", "unit_gens", "others", "weights",
+                 "grading", "memo")
+
+    def __init__(self, gens: Tuple[Vec, ...], dim: int):
+        self.equations, self.facets = _cone_inequalities(gens, dim)
+        self.units = frozenset(
+            i for i, g in enumerate(gens) if not any(_dot(a, g) for a in self.facets)
+        )
+        self.unit_gens = tuple(gens[i] for i in sorted(self.units))
+        self.others = tuple(g for i, g in enumerate(gens) if i not in self.units)
+        self.grading = _primitive([sum(a[j] for a in self.facets) for j in range(dim)])
+        self.weights = tuple(_dot(self.grading, g) for g in self.others)
+        self.memo: Dict[Tuple[int, Vec], bool] = {}
+
+    def search(self, idx: int, residual: Vec, budget: int) -> bool:
+        last = len(self.others) - 1
+        if budget == 0:
+            idx = last + 1
+        key = (idx, residual)
+        found = self.memo.get(key)
+        if found is not None:
+            return found
+        if budget == 0:
+            found = lattice_member(self.unit_gens, residual)
+        else:
+            g, w = self.others[idx], self.weights[idx]
+            if idx == last:
+                # the budget must drop to 0 exactly: one coefficient can work
+                c, rest = divmod(budget, w)
+                found = not rest and self.search(
+                    idx + 1, tuple(r - c * gj for r, gj in zip(residual, g)), 0)
+            else:
+                found = any(
+                    self.search(idx + 1, tuple(r - c * gj for r, gj in zip(residual, g)),
+                                budget - c * w)
+                    for c in range(budget // w + 1)
+                )
+        self.memo[key] = found
+        return found
 
 
 # ---------------------------------------------------------------------------
@@ -100,6 +176,8 @@ class AffineMonoid:
 
     def __init__(self, ambient_dim: int, generators: Sequence[Sequence[int]]):
         self.dim = int(ambient_dim)
+        if self.dim < 0:
+            raise ValueError("ambient dimension must be >= 0")
         gens = []
         for g in generators:
             g = tuple(int(c) for c in g)
@@ -107,7 +185,7 @@ class AffineMonoid:
                 raise ValueError(f"generator {g} not in Z^{self.dim}")
             gens.append(g)
         self.gens: Tuple[Vec, ...] = tuple(gens)
-        self._unit_idx: Optional[Set[int]] = None
+        self._plan: Optional[_MembershipPlan] = None
 
     def __repr__(self):
         return f"AffineMonoid({self.dim}, {list(self.gens)!r})"
@@ -128,36 +206,24 @@ class AffineMonoid:
 
     # -- cone structure ----------------------------------------------------
 
-    def cone_contains(self, x: Sequence[int]) -> bool:
-        return cone_member(tuple(x), self.gens)
+    def _membership_plan(self) -> _MembershipPlan:
+        if self._plan is None:
+            self._plan = _MembershipPlan(self.gens, self.dim)
+        return self._plan
 
-    def unit_generator_indices(self) -> Set[int]:
+    def cone_contains(self, x: Sequence[int]) -> bool:
+        plan = self._membership_plan()
+        return _in_cone(x, plan.equations, plan.facets)
+
+    def unit_generator_indices(self) -> FrozenSet[int]:
         """Indices of generators lying in the lineality space of the cone,
         that is of the generators on which every facet normal vanishes."""
-        if self._unit_idx is None:
-            _, facets = _cone_inequalities(self.gens, self.dim)
-            self._unit_idx = {
-                i for i, g in enumerate(self.gens) if not any(_dot(a, g) for a in facets)
-            }
-        return self._unit_idx
+        return self._membership_plan().units
 
     def _grading(self) -> Vec:
         """An integer functional vanishing on units and >= 1 on the other
-        generators: the primitive vector on the ray of the sum of the facet
-        normals.
-
-        The facet normals are the extreme rays of the dual cone
-        {a in L : a.g >= 0 for every g} inside the span L of the generators,
-        and that dual cone is pointed, so their sum lies in its relative
-        interior. Each normal is 0 on a unit g, as a.g >= 0 and a.(-g) >= 0.
-        A generator on which every normal vanishes is a unit, since -g then
-        satisfies every inequality of the cone; so on every other generator
-        some integer normal is >= 1 and the others are >= 0, and the sum is
-        >= 1. Dividing the sum by the gcd of its entries keeps the values on
-        generators positive integers.
-        """
-        _, facets = _cone_inequalities(self.gens, self.dim)
-        return _primitive([sum(a[j] for a in facets) for j in range(self.dim)])
+        generators (see `_MembershipPlan`)."""
+        return self._membership_plan().grading
 
     # -- membership --------------------------------------------------------
 
@@ -168,37 +234,10 @@ class AffineMonoid:
             raise ValueError("ambient dimension mismatch")
         if all(c == 0 for c in x):
             return True
-        if not self.cone_contains(x):
+        plan = self._membership_plan()
+        if not _in_cone(x, plan.equations, plan.facets):
             return False
-        units = self.unit_generator_indices()
-        ugens = [self.gens[i] for i in sorted(units)]
-        others = [self.gens[i] for i in range(len(self.gens)) if i not in units]
-        phi = self._grading()
-        weights = [_dot(phi, g) for g in others]
-        target = _dot(phi, x)
-        # the budget left at a state is phi(residual), so whether a state
-        # (idx, residual) succeeds does not depend on the path to it
-        failed: Set[Tuple[int, Vec]] = set()
-
-        def search(idx: int, residual: Vec, budget: int) -> bool:
-            if (idx, residual) in failed:
-                return False
-            if budget == 0:
-                found = lattice_member(ugens, residual)
-            elif idx == len(others):
-                found = False
-            else:
-                g, w = others[idx], weights[idx]
-                found = any(
-                    search(idx + 1, tuple(r - c * gj for r, gj in zip(residual, g)),
-                           budget - c * w)
-                    for c in range(budget // w + 1)
-                )
-            if not found:
-                failed.add((idx, residual))
-            return found
-
-        return search(0, x, target)
+        return plan.search(0, x, _dot(plan.grading, x))
 
     # -- element enumeration ------------------------------------------------
 
@@ -228,9 +267,8 @@ class AffineMonoid:
         so its generator set is the intersection of the zero sets of some
         facet normals (of none, for the whole cone).
         """
-        _, facets = _cone_inequalities(self.gens, self.dim)
         index_sets = {frozenset(range(len(self.gens)))}
-        for a in facets:
+        for a in self._membership_plan().facets:
             zero = frozenset(i for i, g in enumerate(self.gens) if _dot(a, g) == 0)
             index_sets |= {s & zero for s in index_sets}
         return sorted((Face(self, s) for s in index_sets),

@@ -205,6 +205,21 @@ def test_face_target_off_its_cell_is_an_input_error(tmp_path):
                            "end at the index 2 of t\n")
 
 
+@pytest.mark.parametrize("command,name,text", [
+    (["faces"], "negative.monoid", "kind = monoid\ndim = -1\n"),
+    (["saturation-check", "--primes", "2"], "negative.morphism",
+     "kind = morphism\nsource:\n  kind = monoid\n  dim = -1\n"
+     "target:\n  kind = monoid\n  dim = 1\n  gen = 1\n"),
+])
+def test_negative_ambient_dimension_is_an_input_error(tmp_path, command, name, text):
+    doc = tmp_path / name
+    doc.write_text(text)
+    proc = run_cli([command[0], "--input", str(doc), *command[1:]])
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    assert proc.stderr == f"input error: {doc}: ambient dimension must be >= 0\n"
+
+
 def test_oversized_cell_is_rejected_before_enumeration(tmp_path):
     # loading enumerates every injection into a cell's index; [9] has
     # millions, and the loader refuses it before enumerating any

@@ -496,6 +496,42 @@ def test_covers_own_their_maps():
     assert second.branch_map[("a@0", 0)] == ("a", 0)
 
 
+def _reference_transitive(perms, d):
+    """Breadth-first search from sheet 0 over the undirected graph with an
+    edge x - p[x] for every permutation p."""
+    adjacent = {x: set() for x in range(d)}
+    for p in perms:
+        for x in range(d):
+            adjacent[x].add(p[x])
+            adjacent[p[x]].add(x)
+    seen, queue = {0}, [0]
+    for x in queue:
+        for y in sorted(adjacent[x] - seen):
+            seen.add(y)
+            queue.append(y)
+    return len(seen) == d
+
+
+def test_transitive_matches_bfs_reference():
+    rng = random.Random(SEED)
+    outcomes = {True: 0, False: 0}
+    degrees = set()
+    for _ in range(400):
+        d = rng.randint(1, 6)
+        perms = []
+        for _ in range(rng.randint(0, 3)):
+            p = list(range(d))
+            rng.shuffle(p)
+            perms.append(tuple(p))
+        want = _reference_transitive(perms, d)
+        assert _transitive(tuple(perms), d) == want, (perms, d)
+        outcomes[want] += 1
+        degrees.add(d)
+    # the corpus holds transitive and intransitive tuples, and degree 1
+    assert outcomes[True] > 50 and outcomes[False] > 50
+    assert 1 in degrees
+
+
 def _burnside_orbit_count(c, d):
     """(1/d!) * sum over t in S_d of |centralizer(t)|^c, by brute force."""
     import itertools

@@ -567,22 +567,25 @@ def test_lattice_member_reduces_each_generator_set_once(monkeypatch):
     import anabel.intlin as intlin
 
     calls = []
+    reduce = intlin._smith_form
 
-    def counting(M):
-        calls.append(M.rows)
-        return smith_diagonal(M)
+    def counting(a, n, m, u=None, v=None):
+        calls.append((n, m))
+        return reduce(a, n, m, u, v)
 
-    monkeypatch.setattr(intlin, "smith_diagonal", counting)
-    intlin._nonzero_invariants.cache_clear()
+    monkeypatch.setattr(intlin, "_smith_form", counting)
+    intlin._lattice_transform.cache_clear()
     rng = random.Random(SEED)
     gens = [[3, 1, 0], [0, 2, 5], [1, -1, 2]]
+    other = [[2, 0, 0], [0, 4, 2]]
     points = [[rng.randint(-6, 6) for _ in range(3)] for _ in range(40)]
     for x in points:
         assert lattice_member(gens, x) == _reference_lattice_member(gens, x), x
-    # one reduction of the generators, then one of generators plus point
-    assert calls == [3] + [4] * len(points)
-    # a list of lists and a tuple of tuples share the cached invariants
+        assert lattice_member(other, x) == _reference_lattice_member(other, x), x
+    # one reduction per generator set, none per point
+    assert calls == [(3, 3), (2, 3)]
+    # a list of lists and a tuple of tuples share the cached transform
     assert lattice_member(tuple(map(tuple, gens)), points[0]) == lattice_member(gens, points[0])
-    assert calls == [3] + [4] * (len(points) + 2)
+    assert calls == [(3, 3), (2, 3)]
     with pytest.raises(ValueError, match="ambient dimension mismatch"):
         lattice_member(gens, [1, 2])

@@ -126,6 +126,74 @@ def _random_generator_sets(rng, d):
         yield gens
 
 
+def test_membership_plan_is_shared_across_queries(monkeypatch):
+    """One instance answers every query from one plan and one memo; its
+    answers equal a fresh instance's per query, and brute force on pointed
+    sets. A second pass reads every answer from the memo."""
+    import anabel.monoids as monoids
+
+    leaves = []
+    member = monoids.lattice_member
+
+    def counting(vecs, target):
+        leaves.append(target)
+        return member(vecs, target)
+
+    monkeypatch.setattr(monoids, "lattice_member", counting)
+    rng = random.Random(SEED)
+
+    def vec(d, lo, hi):
+        return tuple(rng.randint(lo, hi) for _ in range(d))
+
+    cases = []  # (dim, generators, pointed)
+    # numerical semigroups: the last weight often leaves a remainder
+    cases += [(1, [(3,), (5,)], True), (1, [(4,), (6,), (9,)], True)]
+    cases.append((2, [(3, 0), (5, 0), (0, 1), (0, -1)], False))
+    for _ in range(12):
+        d = rng.randint(1, 3)
+        pointed = [vec(d, 0, 3) for _ in range(rng.randint(1, 3))]
+        pointed = [g for g in pointed if any(g)] or [(1,) * d]
+        cases.append((d, pointed, True))
+        g = vec(d, 1, 3)
+        cases.append((d, [g, tuple(-c for c in g)] + [vec(d, -2, 3) for _ in range(2)], False))
+        cases.append((d, [(0,) * d] + [vec(d, -2, 3) for _ in range(rng.randint(1, 3))], False))
+    remainders = searched = 0
+    for d, gens, pointed in cases:
+        queries = [vec(d, 0, 4 if d == 1 else 3) for _ in range(10)]
+        queries += [vec(d, -3, 3) for _ in range(10)]
+        for _ in range(5):
+            coeffs = [rng.randint(0, 2) for _ in gens]
+            queries.append(tuple(sum(c * g[j] for c, g in zip(coeffs, gens)) for j in range(d)))
+        fresh = {x: AffineMonoid(d, gens).contains(x) for x in queries}
+        if pointed:
+            for x in queries:
+                if min(x) >= 0:
+                    assert fresh[x] == brute_membership(AffineMonoid(d, gens), x, sum(x)), (gens, x)
+        P = AffineMonoid(d, gens)
+        leaves.clear()
+        for _ in range(2):
+            order = list(queries)
+            rng.shuffle(order)
+            assert {x: P.contains(x) for x in order} == fresh, gens
+        searched += len(leaves)
+        plan = P._membership_plan()
+        # states past the last non-unit generator are reached only with the
+        # budget spent: the last coefficient is forced
+        last = len(plan.others)
+        assert all(sum(a * b for a, b in zip(plan.grading, r)) == 0
+                   for i, r in plan.memo if i == last), gens
+        if plan.others:
+            w = plan.weights[-1]
+            remainders += any(
+                i == last - 1 and sum(a * b for a, b in zip(plan.grading, r)) % w
+                for i, r in plan.memo)
+        leaves.clear()
+        for x in queries:
+            P.contains(x)
+        assert leaves == [], gens
+    assert remainders >= 3 and searched > 50
+
+
 def test_cone_member_matches_fourier_motzkin_reference():
     rng = random.Random(SEED)
     for d in range(1, 5):
@@ -416,3 +484,11 @@ def test_elements_up_to_degree():
     elems = N2.elements_up_to_degree(2)
     assert (0, 0) in elems and (1, 1) in elems and (2, 0) in elems
     assert len(elems) == 6
+
+
+def test_ambient_dimension_must_be_nonnegative():
+    with pytest.raises(ValueError, match="ambient dimension must be >= 0"):
+        AffineMonoid(-1, [])
+    # dimension 0 is the trivial monoid
+    P = AffineMonoid(0, [])
+    assert P.contains(()) and len(P.faces()) == 1 and P.is_saturated() == (True, None)
