@@ -11,7 +11,7 @@ from __future__ import annotations
 import itertools
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from math import gcd, lcm
 from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
@@ -352,10 +352,16 @@ class Face:
         return [self.monoid.gens[i] for i in sorted(self.indices)]
 
     def as_monoid(self) -> AffineMonoid:
+        """The face as a monoid of its own, built once per face, so that
+        every query on the face shares its membership plan."""
+        return self._submonoid
+
+    @cached_property
+    def _submonoid(self) -> AffineMonoid:
         return AffineMonoid(self.monoid.dim, self.generators())
 
     def contains(self, x: Sequence[int]) -> bool:
-        return self.as_monoid().contains(x)
+        return self._submonoid.contains(x)
 
     def __le__(self, other: "Face") -> bool:
         return self.indices <= other.indices

@@ -311,15 +311,16 @@ def _homs_reading(m: PolyIndex, n: PolyIndex, reads: int) -> Iterator[LambdaMorp
 def lambda_hom(m: PolyIndex, n: PolyIndex) -> Tuple[LambdaMorphism, ...]:
     """All morphisms [m] -> [n], duplicate-free, in canonical order."""
     m, n = check_index(m), check_index(n)
-    return tuple(sorted(g for reads in range(min(_width(m), len(n)) + 1)
-                        for g in _homs_reading(m, n, reads)))
+    return tuple(sorted((g for reads in range(min(_width(m), len(n)) + 1)
+                         for g in _homs_reading(m, n, reads)), key=LambdaMorphism.key))
 
 
 @lru_cache(maxsize=None)
 def automorphisms(n: PolyIndex) -> Tuple[LambdaMorphism, ...]:
     # an isomorphism is onto, and reads every coordinate (see epis_onto)
     n = check_index(n)
-    return tuple(sorted(g for g in _homs_reading(n, n, _width(n)) if g.is_iso()))
+    return tuple(sorted((g for g in _homs_reading(n, n, _width(n)) if g.is_iso()),
+                        key=LambdaMorphism.key))
 
 
 @lru_cache(maxsize=None)
@@ -343,8 +344,8 @@ def injections_into(n: PolyIndex) -> Tuple[LambdaMorphism, ...]:
     coordinate: two points that differ only in an unread coordinate have
     one image. So only the triples that read all of k's coordinates are
     enumerated."""
-    return tuple(sorted(g for k in sub_indices(n)
-                        for g in _homs_reading(k, n, _width(k))))
+    return tuple(sorted((g for k in sub_indices(n)
+                         for g in _homs_reading(k, n, _width(k))), key=LambdaMorphism.key))
 
 
 @lru_cache(maxsize=None)
@@ -375,7 +376,7 @@ def _generators_into(m: PolyIndex) -> Tuple[LambdaMorphism, ...]:
         tracked = {t: (k, tuple(range(sizes[t] + 1))) for k, t in enumerate(kept)}
         source = tuple(sizes[t] for t in kept) or (0,)
         gens.add(from_triple(source, m, tracked, {} if sizes[l] else {l: 0}))
-    return tuple(sorted(gens))
+    return tuple(sorted(gens, key=LambdaMorphism.key))
 
 
 @lru_cache(maxsize=None)
@@ -385,8 +386,8 @@ def epis_onto(m: PolyIndex, n: PolyIndex) -> Tuple[LambdaMorphism, ...]:
     Only triples that track every coordinate of [n] are enumerated: a
     constant coordinate of an index other than the point misses a value."""
     m, n = check_index(m), check_index(n)
-    return tuple(sorted(g for g in _homs_reading(m, n, _width(n))
-                        if g.is_surjective()))
+    return tuple(sorted((g for g in _homs_reading(m, n, _width(n)) if g.is_surjective()),
+                        key=LambdaMorphism.key))
 
 
 def epi_mono_factor(gamma: LambdaMorphism) -> Tuple[LambdaMorphism, LambdaMorphism]:
@@ -695,14 +696,30 @@ def representable(n: Sequence[int]) -> PolysimplicialSet:
     its image, is a normal element of lower dimension, and the act of the
     tables is composition of morphisms, which is functorial. Distinct
     automorphisms give distinct morphisms e_c*theta, so every stabilizer
-    is trivial: a subgroup, and coherence holds vacuously.
+    is trivial: a subgroup, and coherence holds vacuously, so the
+    constructor's default stabilizers are the right ones.
+
+    The cells and the face table come from `_representable_tables`, which
+    keeps them per index; the constructor copies both dicts, so changing
+    the returned complex leaves the memo as it was.
     """
-    n = check_index(n)
-    boxes = _boxes_of(n)
+    cells, faces = _representable_tables(check_index(n))
+    return PolysimplicialSet(cells, {}, faces, validate=False)
+
+
+@lru_cache(maxsize=None)
+def _representable_tables(n: PolyIndex):
+    """(cells, faces) of Lambda[n] for a checked index n.
+
+    Kept for the life of the process: the sub-boxes, their indices and
+    embeddings, and every face entry are functions of n alone, and the
+    morphisms in them are interned, so the tables of a later call would be
+    equal entry for entry. Callers must not change the returned dicts."""
     cells = {}
     injections = {}
-    for box in boxes:
-        cid = _box_cell_id(box)
+    box_ids = {}
+    for box in _boxes_of(n):
+        cid = box_ids[box] = _box_cell_id(box)
         cells[cid] = _box_index(box)
         injections[cid] = _box_injection(box, n)
     faces = {}
@@ -711,8 +728,8 @@ def representable(n: Sequence[int]) -> PolysimplicialSet:
             if iota.is_iso():
                 continue
             comp = compose(emb, iota).structure
-            tgt = _box_cell_id(tuple((e[1],) if e[0] == "const" else sorted(e[2])
-                                     for e in comp))
+            tgt = box_ids[tuple((e[1],) if e[0] == "const" else tuple(sorted(e[2]))
+                                for e in comp)]
             # theta reads what comp reads, through the positions of comp's
             # values in the sub-box, so that e_tgt*theta = comp
             theta = [("const", 0)] * len(cells[tgt])
@@ -721,8 +738,7 @@ def representable(n: Sequence[int]) -> PolysimplicialSet:
                     theta[t[1]] = ("track", e[1], tuple(t[2].index(v) for v in e[2]))
             faces[(cid, iota)] = Element(tgt, _morphism(iota.source, cells[tgt],
                                                         tuple(theta)))
-    stabs = {cid: frozenset([identity(idx)]) for cid, idx in cells.items()}
-    return PolysimplicialSet(cells, stabs, faces, validate=False)
+    return cells, faces
 
 
 def poly_point() -> PolysimplicialSet:
@@ -762,16 +778,34 @@ def _split_morphism(gamma: LambdaMorphism, na: PolyIndex,
             _morphism(gamma.source, nb, s[wa:] if nb != (0,) else _TO_POINT))
 
 
-def _join_epis(sa: LambdaMorphism, sb: LambdaMorphism) -> LambdaMorphism:
-    """Combine epis with disjoint tracked sets into one epi onto the
-    concatenated index."""
-    na, nb = sa.target, sb.target
-    s = (sa.structure if na != (0,) else ()) + (sb.structure if nb != (0,) else ())
-    return _morphism(sa.source, concat_index(na, nb), s or _TO_POINT)
+# (id of the A epi, id of the B epi) -> their joined face epi, and (id of
+# the A automorphism, id of the B one) -> the stabilizer element they give
+# the product; ids are unique, as for _COMPOSITES
+_FACE_EPIS: Dict[Tuple[int, int], LambdaMorphism] = {}
+_STABILIZER_ELEMENTS: Dict[Tuple[int, int], LambdaMorphism] = {}
 
 
+def _face_epi(sa: LambdaMorphism, sb: LambdaMorphism) -> LambdaMorphism:
+    """Join epis with disjoint tracked sets into one epi onto the
+    concatenated index, read back through its sorting iso.
+
+    Memoized on the pair of epi ids: the join and the sorting iso of its
+    target are functions of the two epis alone."""
+    ids = (sa.id, sb.id)
+    hit = _FACE_EPIS.get(ids)
+    if hit is None:
+        na, nb = sa.target, sb.target
+        s = (sa.structure if na != (0,) else ()) + (sb.structure if nb != (0,) else ())
+        raw = concat_index(na, nb)
+        joined = _morphism(sa.source, raw, s or _TO_POINT)
+        hit = _FACE_EPIS[ids] = compose(_sorting_iso(raw).inverse(), joined)
+    return hit
+
+
+@lru_cache(maxsize=None)
 def _sorting_iso(raw: PolyIndex) -> LambdaMorphism:
-    """Canonical iso [canonical(raw)] -> [raw] permuting coordinates."""
+    """Canonical iso [canonical(raw)] -> [raw] permuting coordinates; a
+    function of raw alone, so it is kept per index."""
     canon = canonical_index(raw)
     if raw == (0,):
         return identity((0,))
@@ -781,6 +815,20 @@ def _sorting_iso(raw: PolyIndex) -> LambdaMorphism:
     for k, l in enumerate(order):
         tracked[l] = (k, tuple(range(raw[l] + 1)))
     return from_triple(canon, raw, tracked, {})
+
+
+@lru_cache(maxsize=None)
+def _box_face_plan(na: PolyIndex, nb: PolyIndex):
+    """(iota, ga, gb) for each non-invertible injection iota into the
+    canonical index of na ++ nb, with (ga, gb) the split of rho*iota for
+    rho its sorting iso.
+
+    Kept per index pair: the injections, rho and the split read na and nb
+    only, never a complex, so every product of a cell of index na with
+    one of index nb shares the plan."""
+    rho = _sorting_iso(concat_index(na, nb))
+    return tuple((iota, *_split_morphism(compose(rho, iota), na, nb))
+                 for iota in injections_into(rho.source) if not iota.is_iso())
 
 
 def box_product(A: PolysimplicialSet, B: PolysimplicialSet) -> PolysimplicialSet:
@@ -803,50 +851,45 @@ def box_product(A: PolysimplicialSet, B: PolysimplicialSet) -> PolysimplicialSet
     of the factor stabilizers conjugated by rho, a subgroup, and a face
     entry along theta*iota is the pair of factor entries along ta*ga and
     tb*gb, which are coherent in A and B.
+
+    Only the two act calls and the stabilizers read A and B: the triples
+    (iota, ga, gb) come from `_box_face_plan`, kept per index pair, and
+    the joined epis from `_face_epi`, kept per pair of factor epis.
     """
     cells = {}
     stabs = {}
     faces = {}
-    sorters = {}
-    unsort = {}
-    for ca, na in A.cells.items():
-        for cb, nb in B.cells.items():
-            cid = _pair_id(ca, cb)
-            raw = concat_index(na, nb)
-            rho = sorters[cid] = _sorting_iso(raw)
-            cells[cid] = canonical_index(raw)
-            rho_inv = unsort[cid] = rho.inverse()
-            stab = set()
-            for ta in A.stabs[ca]:
-                for tb in B.stabs[cb]:
-                    joint = _join_isos(ta, tb)
-                    stab.add(compose(rho_inv, compose(joint, rho)))
-            stabs[cid] = frozenset(stab)
     for ca, na in A.cells.items():
         xa = A.cell_element(ca)
         for cb, nb in B.cells.items():
             xb = B.cell_element(cb)
             cid = _pair_id(ca, cb)
-            rho = sorters[cid]
-            for iota in injections_into(cells[cid]):
-                if iota.is_iso():
-                    continue
-                comp = compose(rho, iota)
-                ga, gb = _split_morphism(comp, na, nb)
+            cells[cid] = canonical_index(concat_index(na, nb))
+            stabs[cid] = frozenset(_stabilizer_element(ta, tb)
+                                   for ta in A.stabs[ca] for tb in B.stabs[cb])
+            for iota, ga, gb in _box_face_plan(na, nb):
                 ea = A.act(xa, ga)
                 eb = B.act(xb, gb)
-                tgt = _pair_id(ea.cell, eb.cell)
-                joined = _join_epis(ea.epi, eb.epi)
-                epi = compose(unsort[tgt], joined)
-                faces[(cid, iota)] = Element(tgt, epi)
+                faces[(cid, iota)] = Element(_pair_id(ea.cell, eb.cell),
+                                             _face_epi(ea.epi, eb.epi))
     return PolysimplicialSet(cells, stabs, faces, validate=False)
 
 
-def _join_isos(ta: LambdaMorphism, tb: LambdaMorphism) -> LambdaMorphism:
-    """Blockwise automorphism of [na ++ nb] from automorphisms of [na] and
-    [nb]: the B block reads its source coordinates shifted past A's."""
-    wa = 0 if ta.target == (0,) else len(ta.target)
-    s = (ta.structure if wa else ()) + tuple(
-        ("track", e[1] + wa, e[2]) for e in tb.structure if e[0] == "track")
-    raw = concat_index(ta.target, tb.target)
-    return _morphism(raw, raw, s or _TO_POINT)
+def _stabilizer_element(ta: LambdaMorphism, tb: LambdaMorphism) -> LambdaMorphism:
+    """The blockwise automorphism of [na ++ nb] from automorphisms of [na]
+    and [nb], with the B block reading its source coordinates shifted past
+    A's, conjugated by the sorting iso onto the canonical index.
+
+    Memoized on the pair of ids: the result is a function of ta and tb
+    alone."""
+    ids = (ta.id, tb.id)
+    hit = _STABILIZER_ELEMENTS.get(ids)
+    if hit is None:
+        wa = 0 if ta.target == (0,) else len(ta.target)
+        s = (ta.structure if wa else ()) + tuple(
+            ("track", e[1] + wa, e[2]) for e in tb.structure if e[0] == "track")
+        raw = concat_index(ta.target, tb.target)
+        rho = _sorting_iso(raw)
+        joint = _morphism(raw, raw, s or _TO_POINT)
+        hit = _STABILIZER_ELEMENTS[ids] = compose(rho.inverse(), compose(joint, rho))
+    return hit

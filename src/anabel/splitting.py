@@ -11,11 +11,15 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
 
-from .currents import Current, SubgraphStar, vanishes_on_star
-from .graphs import BranchGraph, MetricGraph
 from .intlin import is_prime
+
+# split_locus and detect_metric_mismatch import currents and graphs
+# themselves, so the band and interval arithmetic loads neither
+if TYPE_CHECKING:
+    from .currents import Current, SubgraphStar
+    from .graphs import BranchGraph, MetricGraph
 
 
 def _check_prime(p: int) -> int:
@@ -94,6 +98,8 @@ def split_locus(
     current hypotheses fail, falls back to the pointwise test: a vertex is
     non-split when the current is nonzero mod p^e on its star.
     """
+    from .currents import SubgraphStar, vanishes_on_star
+
     _check_prime(p)
     if e < 1:
         raise ValueError("exponent must be >= 1")

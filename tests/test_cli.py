@@ -313,6 +313,23 @@ def test_cli_import_loads_no_library_module():
     assert proc.stdout.strip() == "['anabel', 'anabel.cli', 'anabel.documents']"
 
 
+@pytest.mark.parametrize("name", ["split_radius.txt", "tate_intervals.txt"])
+def test_band_commands_load_neither_currents_nor_graphs(name):
+    # split_locus and detect_metric_mismatch import currents and graphs
+    # themselves; the band and interval commands never run them
+    code = ("import contextlib, io, sys, anabel.cli\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = anabel.cli.main(sys.argv[1:])\n"
+            "print(code, sorted(m for m in sys.modules if m.startswith('anabel')))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *CASES[name]], capture_output=True, text=True,
+        cwd=str(pathlib.Path(__file__).parent.parent),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == ("0 ['anabel', 'anabel.cli', 'anabel.documents', "
+                                   "'anabel.intlin', 'anabel.splitting']")
+
+
 @pytest.mark.parametrize("command,doc,old,new", [
     ("faces", "n2.monoid", "dim = 2", "dim ="),
     ("cospec", "chain.poset", "pair = x a", "pair = x"),

@@ -259,6 +259,34 @@ def test_faces_prime_complement_property():
                     assert F.contains(a) and F.contains(b)
 
 
+def test_face_queries_share_one_plan(monkeypatch):
+    """Each face builds its monoid, and so its membership plan, once:
+    twenty queries on one face build one plan, and answer as a fresh monoid
+    on the face's generators does."""
+    import anabel.monoids as monoids
+
+    built = []
+
+    class CountingPlan(monoids._MembershipPlan):
+        __slots__ = ()
+
+        def __init__(self, gens, dim):
+            built.append(gens)
+            super().__init__(gens, dim)
+
+    monkeypatch.setattr(monoids, "_MembershipPlan", CountingPlan)
+    rng = random.Random(SEED)
+    P = AffineMonoid(2, [(1, 0), (1, 2), (0, 1)])
+    for face in P.faces():
+        queries = [(rng.randint(-1, 4), rng.randint(-1, 4)) for _ in range(20)]
+        built.clear()
+        got = [face.contains(x) for x in queries]
+        assert len(built) == 1, face
+        assert face.as_monoid() is face.as_monoid()
+        fresh = AffineMonoid(2, face.generators())
+        assert got == [fresh.contains(x) for x in queries], face
+
+
 def test_faces_closed_under_intersection():
     P = AffineMonoid(2, [(1, 0), (1, 2)])
     index_sets = {f.indices for f in P.faces()}

@@ -39,6 +39,7 @@ from anabel.poly_ops import (
     quotient,
 )
 
+import anabel.poly as poly
 import constructor_reference
 import quotient_reference
 from category_reference import all_objects_pi1
@@ -197,17 +198,64 @@ def _tables(C):
 
 def test_constructor_corpus_matches_pointwise_reference():
     # representable and box_product build their face morphisms from
-    # triples; the reference builds them point by point, through the
-    # checked constructor
+    # triples, and read tables and plans memoized per index and per index
+    # pair; the reference builds them point by point, through the checked
+    # constructor. Each representable is compared cold and then warm, and
+    # the products include factors with stabilizers Z/2 (the fold), Z/3
+    # and Z/4 (the rotation quotients)
+    poly._representable_tables.cache_clear()
+    poly._box_face_plan.cache_clear()
     for n in [(0,), (1,), (2,), (1, 1), (3,), (2, 1), (1, 1, 1)]:
-        assert _tables(representable(n)) == _tables(constructor_reference.representable(n))
+        want = _tables(constructor_reference.representable(n))
+        for _ in range(2):
+            assert _tables(representable(n)) == want
     rng = random.Random(SEED)
     pool = _corpus_pool(rng)
     pool += [disjoint_union(rng.choice(pool), rng.choice(pool)) for _ in range(3)]
+    pool.append(_square_rotation_quotient())
     for A, B in itertools.product(pool, repeat=2):
         if A.dim() + B.dim() <= 3:
             P = box_product(A, B)
             assert _tables(P) == _tables(constructor_reference.box_product(A, B))
+
+
+def test_representable_memo_survives_mutation():
+    # representable copies the memoized tables into a fresh complex, so
+    # changing one complex leaves the next one at that index intact
+    want = _tables(constructor_reference.representable((2, 1)))
+    L = representable((2, 1))
+    key = next(iter(L.faces))
+    L.act(L.cell_element(key[0]), key[1])
+    L.faces[key] = L.cell_element(min(L.cells))
+    del L.faces[next(k for k in L.faces if k != key)]
+    L.cells["extra"] = (1,)
+    del L.cells[max(L.cells)]
+    M = representable((2, 1))
+    assert _tables(M) == want
+    assert M.faces is not L.faces and M.cells is not L.cells
+    assert M._act_cache == {} and M._canon_cache == {}
+    M.validate(deep=True)
+
+
+def test_box_product_memo_reuses_plan():
+    # the face plan is kept per index pair and shared by every product
+    # whose cells have those indices: a second product over the same
+    # pairs, or over other complexes with the same cell indices, plans
+    # nothing new and joins no new face epi
+    poly._box_face_plan.cache_clear()
+    L1, L2, fold = representable((1,)), representable((2,)), _fold()
+    first = box_product(L1, L2)
+    cold = poly._box_face_plan.cache_info()
+    assert cold.misses == len({(a, b) for a in L1.cells.values() for b in L2.cells.values()})
+    joined = len(poly._FACE_EPIS)
+    again, folded = box_product(L1, L2), box_product(fold, L2)
+    warm = poly._box_face_plan.cache_info()
+    assert warm.misses == cold.misses
+    assert warm.hits == cold.hits + (len(L1.cells) + len(fold.cells)) * len(L2.cells)
+    assert len(poly._FACE_EPIS) == joined
+    assert _tables(again) == _tables(first) and again.faces is not first.faces
+    for P, A in [(again, L1), (folded, fold)]:
+        assert _tables(P) == _tables(constructor_reference.box_product(A, L2))
 
 
 def test_quotient_corpus_matches_fixed_point_reference():
@@ -321,6 +369,15 @@ def _fold_gluing():
 
 def _fold():
     return quotient(*_fold_gluing()).complex
+
+
+def _square_rotation_quotient():
+    """Lambda(1, 1) and the quarter turn of its square: stabilizer Z/4."""
+    L = representable((1, 1))
+    turn = next(g for g in automorphisms((1, 1))
+                if g.mapping == ((0, 1), (1, 1), (0, 0), (1, 0)))
+    top = next(c for c in L.cells if L.cells[c] == (1, 1))
+    return quotient(L, [(L.cell_element(top), Element(top, turn))]).complex
 
 
 def _corruptions(rng, C):
