@@ -3,14 +3,23 @@
 These are the library's two eliminations. Over Q: row reduction, one row
 folded into a reduced basis, nullspace and rank. Over Z: primality, Smith
 normal form, f.g. abelian groups, cokernels and lattice membership. One
-reduction loop serves the Smith form; `smith_normal_form` has it track U
-and V, lattice membership has it track V alone, once per generator set,
-and `smith_diagonal` (behind cokernels, kernel ranks and mod-n solution
-groups) tracks no transforms. An entry the pivot does not divide is
+Smith kernel serves three modes: `smith_normal_form` has it track U and
+V, lattice membership has it track V alone, once per generator set, and
+`smith_diagonal` (behind cokernels, kernel ranks and mod-n solution
+groups) tracks no transforms. The kernel runs in two phases. The first
+works on sparse rows: each row in turn offers a +-1 entry, in the
+sparsest of its columns, as a pivot. Because the pivot is a unit, one
+pass of row operations clears its column exactly, with no remainder to
+come back; the column operations that would clear its row then add
+multiples of a column that is 0 outside the pivot row, so they change no
+other row and run on V alone. The pivot row and column are dropped. The
+incidence-type matrices of currents and graphs of groups are mostly or
+wholly cleared this way. The rows and columns left go to the second
+phase, a dense loop in which an entry the pivot does not divide is
 cleared by a 2 x 2 gcd step, so the pivot shrinks to the gcd and no
-unreduced remainder row becomes the next pivot; that is what keeps entries
-from running away. Everything works with plain integers and `Fraction`, so
-there is no overflow.
+unreduced remainder row becomes the next pivot; that is what keeps
+entries from running away. Everything works with plain integers and
+`Fraction`, so there is no overflow.
 """
 
 from __future__ import annotations
@@ -18,6 +27,7 @@ from __future__ import annotations
 from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
+from itertools import compress
 from math import gcd, isqrt
 from operator import mul
 from typing import Iterable, List, Sequence, Tuple
@@ -246,8 +256,11 @@ def rank(rows: Sequence[Sequence], ncols: int) -> int:
 # ---------------------------------------------------------------------------
 
 
+@lru_cache(maxsize=256)
 def is_prime(p: int) -> bool:
-    """Trial division by every q >= 2 with q * q <= p."""
+    """Trial division by every q >= 2 with q * q <= p. Memoized: the
+    splitting sweeps ask about the same few small primes thousands of
+    times."""
     return p >= 2 and all(p % q for q in range(2, isqrt(p) + 1))
 
 
@@ -261,21 +274,139 @@ def _xgcd(a: int, b: int) -> Tuple[int, int, int]:
     return (a, x0, y0) if a > 0 else (-a, -x0, -y0)
 
 
-def _smith_form(a, n, m, u=None, v=None) -> None:
+def _smith_form(entries, n, m, u=False, v=False):
+    """Smith form of the n x m integer matrix with row-major `entries`.
+
+    Returns (diag, U, V): diag holds the min(n, m) diagonal entries
+    d1 | d2 | ... of S, all >= 0 and zeros last, and U and V are lists of
+    rows with U*M*V = S, U and V unimodular, or None where `u` or `v` is
+    false. A matrix with no rows or no columns returns at once.
+
+    The reduction runs in two phases. The first works on sparse rows
+    ({col: value} dicts) with a column-to-rows index. It walks the rows in
+    order once; in each it takes a +-1 entry, in the column that holds the
+    fewest entries (ties to the lower column), clears that column from the
+    other rows by row operations, and drops the pivot row and column. A
+    column operation that clears the rest of the pivot row adds a multiple
+    of the pivot column, which is now 0 outside the pivot row, so it
+    changes no other row: it is applied to V alone. U's rows and V's
+    columns are kept sparse too while this phase runs. The rows and
+    columns left with entries form the residual block, which goes to the
+    dense gcd loop `_smith_dense`; for graph incidence and current
+    constraint matrices it is empty. Finally U's rows and V's columns are
+    put in the order pivot, residual, zero, so the k unit pivots lead the
+    diagonal and the divisibility chain holds.
+    """
+    size = min(n, m)
+    if not size:
+        return (
+            [],
+            [[int(i == j) for j in range(n)] for i in range(n)] if u else None,
+            [[int(i == j) for j in range(m)] for i in range(m)] if v else None,
+        )
+    rows = [{} for _ in range(n)]
+    at = [set() for _ in range(m)]
+    for k in compress(range(n * m), entries):
+        i, j = divmod(k, m)
+        rows[i][j] = entries[k]
+        at[j].add(i)
+    us = [{i: 1} for i in range(n)] if u else None
+    vs = [{j: 1} for j in range(m)] if v else None
+    pivots = []
+    for i, prow in enumerate(rows):
+        units = [j for j, x in prow.items() if x == 1 or x == -1]
+        if not units:
+            continue
+        c = min(units, key=lambda j: (len(at[j]), j))
+        p = prow[c]
+        for r in at[c]:
+            if r == i:
+                continue
+            row = rows[r]
+            f = -p * row[c]
+            for j, x in prow.items():
+                y = row.get(j, 0) + f * x
+                if y:
+                    if j not in row:
+                        at[j].add(r)
+                    row[j] = y
+                else:
+                    del row[j]
+                    if j != c:
+                        at[j].discard(r)
+            if u:
+                _addmul(us[r], us[i], f)
+        at[c] = set()
+        for j, x in prow.items():
+            if j != c:
+                at[j].discard(i)
+                if v:
+                    _addmul(vs[j], vs[c], -p * x)
+        if p == -1 and u:
+            us[i] = {j: -x for j, x in us[i].items()}
+        rows[i] = None
+        pivots.append((i, c))
+
+    prows = [i for i, _ in pivots]
+    pcols = [c for _, c in pivots]
+    rrows = [i for i, row in enumerate(rows) if row]
+    rcols = [j for j in range(m) if at[j]]
+    zrows = [i for i, row in enumerate(rows) if row == {}]
+    zcols = sorted(set(range(m)) - set(pcols) - set(rcols))
+    a = [[rows[i].get(j, 0) for j in rcols] for i in rrows]
+    ur = [_dense_row(us[i], n) for i in rrows] if u else None
+    vr = [[vs[j].get(r, 0) for j in rcols] for r in range(m)] if v else None
+    _smith_dense(a, len(rrows), len(rcols), ur, vr)
+    k = len(pivots)
+    diag = [1] * k + [a[t][t] for t in range(min(len(rrows), len(rcols)))]
+    diag += [0] * (size - len(diag))
+    U = V = None
+    if u:
+        U = ([_dense_row(us[i], n) for i in prows] + ur
+             + [_dense_row(us[i], n) for i in zrows])
+    if v:
+        V = [[0] * m for _ in range(m)]
+        for t, j in enumerate(pcols + rcols + zcols):
+            for r, x in vs[j].items():
+                V[r][t] = x
+        for row, res in zip(V, vr):
+            row[k:k + len(res)] = res
+    return diag, U, V
+
+
+def _addmul(dst: dict, src: dict, f: int) -> None:
+    """dst += f * src on sparse vectors."""
+    for j, x in src.items():
+        y = dst.get(j, 0) + f * x
+        if y:
+            dst[j] = y
+        else:
+            del dst[j]
+
+
+def _dense_row(row: dict, width: int) -> List[int]:
+    out = [0] * width
+    for j, x in row.items():
+        out[j] = x
+    return out
+
+
+def _smith_dense(a, n, m, u=None, v=None) -> None:
     """Reduce the n x m integer matrix `a` (a list of row lists) in place to
     Smith form: diagonal with nonnegative entries d1 | d2 | ...
 
     Each row operation is also applied to `u`, and each column operation to
-    `v`, when they are given; started from identities they end as U and V
-    with U*M*V = S. The pivot at step t is the smallest nonzero |entry| of
-    the block a[t:][t:] (first in row-major order; the search stops at a
-    unit), moved to (t, t). An entry of its column or row that the pivot
-    divides is cleared by subtracting a multiple of the pivot row or column;
-    any other entry x is cleared by a 2 x 2 unimodular step that puts
-    gcd(pivot, x) on the diagonal, so the pivot only shrinks and no
-    remainder is ever swapped in unreduced. Once row and column are clear, a
-    row holding an entry the pivot does not divide is added to the pivot
-    row and the clearing repeats; a unit pivot divides everything.
+    `v`, when they are given; `u` holds one row per row of `a` and `v` one
+    column per column of `a`, of any length. The pivot at step t is the
+    smallest nonzero |entry| of the block a[t:][t:] (first in row-major
+    order; the search stops at a unit), moved to (t, t). An entry of its
+    column or row that the pivot divides is cleared by subtracting a
+    multiple of the pivot row or column; any other entry x is cleared by a
+    2 x 2 unimodular step that puts gcd(pivot, x) on the diagonal, so the
+    pivot only shrinks and no remainder is ever swapped in unreduced. Once
+    row and column are clear, a row holding an entry the pivot does not
+    divide is added to the pivot row and the clearing repeats; a unit pivot
+    divides everything.
     """
     row_mats = (a,) if u is None else (a, u)
     col_mats = (a,) if v is None else (a, v)
@@ -368,16 +499,15 @@ def _smith_form(a, n, m, u=None, v=None) -> None:
 
 def smith_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
     """Return (U, S, V) with U*M*V = S, U and V unimodular, S in Smith form
-    (pivot rule and divisibility chain as in `_smith_form`)."""
+    (pivot rules and divisibility chain as in `_smith_form`)."""
     n, m = M.rows, M.cols
-    a = M.to_rows()
-    u = IntMatrix.identity(n).to_rows()
-    v = IntMatrix.identity(m).to_rows()
-    _smith_form(a, n, m, u, v)
-    U = IntMatrix.from_rows(u) if n else IntMatrix.zero(0, 0)
-    V = IntMatrix.from_rows(v) if m else IntMatrix.zero(0, 0)
-    S = IntMatrix.from_rows(a) if n else IntMatrix.zero(0, m)
-    return U, S, V
+    diag, u, v = _smith_form(M.entries, n, m, True, True)
+    s = [0] * (n * m)
+    for t, d in enumerate(diag):
+        s[t * m + t] = d
+    U = IntMatrix(n, n, [x for r in u for x in r])
+    V = IntMatrix(m, m, [x for r in v for x in r])
+    return U, IntMatrix(n, m, s), V
 
 
 def smith_diagonal(M: IntMatrix) -> Tuple[int, ...]:
@@ -385,9 +515,7 @@ def smith_diagonal(M: IntMatrix) -> Tuple[int, ...]:
 
     Only the matrix itself is reduced; no transforms are tracked.
     """
-    a = M.to_rows()
-    _smith_form(a, M.rows, M.cols)
-    return tuple(a[i][i] for i in range(min(M.rows, M.cols)))
+    return tuple(_smith_form(M.entries, M.rows, M.cols)[0])
 
 
 def _smith_rank(diag: Sequence[int]) -> int:
@@ -452,12 +580,10 @@ def _lattice_transform(gens: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[Tuple[i
     constrains nothing. `is_saturated`, `saturation` and monoid membership
     ask about many points of one lattice, so each set is reduced once."""
     k, d = len(gens), len(gens[0])
-    a = [list(g) for g in gens]
-    v = IntMatrix.identity(d).to_rows()
-    _smith_form(a, k, d, None, v)
+    diag, _, v = _smith_form([x for g in gens for x in g], k, d, False, True)
     out = []
     for j in range(d):
-        dj = a[j][j] if j < k else 0
+        dj = diag[j] if j < k else 0
         if dj != 1:
             out.append((tuple(row[j] for row in v), dj))
     return tuple(out)

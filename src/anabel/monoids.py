@@ -17,7 +17,7 @@ from operator import mul
 from typing import Dict, FrozenSet, List, Optional, Sequence, Tuple
 
 from .intlin import (
-    FgAbGroup, IntMatrix, lattice_member, nullspace, rank, row_reduce, smith_normal_form,
+    FgAbGroup, _lattice_transform, lattice_member, nullspace, rank, row_reduce,
 )
 
 Vec = Tuple[int, ...]
@@ -322,20 +322,21 @@ class AffineMonoid:
         ugens = [self.gens[i] for i in units]
         if not ugens:
             return FgAbGroup(0), AffineMonoid(self.dim, self.gens)
-        _, _, V = smith_normal_form(IntMatrix.from_rows(ugens))
-        r = rank(ugens, self.dim)
         # U ugens V = S, so the unit lattice is spanned by the rows of S V^-1:
-        # in the basis given by the rows of V^-1 it lies in the first r
-        # coordinates, and the coordinates of x in that basis are x V
-        def project(x: Vec) -> Vec:
-            return tuple(sum(x[k] * V[k, j] for k in range(self.dim)) for j in range(r, self.dim))
+        # in the basis given by the rows of V^-1 it lies in the coordinates
+        # with d_j != 0, and the coordinates of x in that basis are x V. The
+        # columns of V with d_j = 0 come from the cached lattice transform.
+        free = [col for col, d in _lattice_transform(tuple(ugens)) if d == 0]
 
-        sharp = AffineMonoid(self.dim - r, [project(g) for g in self.gens])
+        def project(x: Vec) -> Vec:
+            return tuple(_dot(x, col) for col in free)
+
+        sharp = AffineMonoid(len(free), [project(g) for g in self.gens])
         if sharp.unit_generator_indices() != {
             i for i, g in enumerate(sharp.gens) if not any(g)
         }:
             raise AssertionError("sharp quotient kept nontrivial units")
-        return FgAbGroup(r), sharp
+        return FgAbGroup(self.dim - len(free)), sharp
 
     def gp_rank(self) -> int:
         return rank(self.gens, self.dim)

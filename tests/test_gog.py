@@ -4,6 +4,7 @@ import random
 
 import pytest
 
+import anabel.gog as gog_module
 from anabel.gog import (
     CocycleError,
     ExtensionData,
@@ -29,6 +30,33 @@ Z3 = FiniteGroup.cyclic(3)
 Z4 = FiniteGroup.cyclic(4)
 S3 = FiniteGroup.symmetric(3)
 TRIV = FiniteGroup.trivial()
+
+
+def _assert_projection_homomorphism(H, E, projection):
+    """(h, x) -> h is a homomorphism E -> H, checked on every product.
+    `schreier_extension` does not run this check: it builds the H-coordinate
+    of (h1, x1)(h2, x2) as h1 h2, so the check holds by construction."""
+    proj = [projection[a] for a in range(E.order)]
+    for row, pa in zip(E.table, proj):
+        h_row = H.table[pa]
+        if [proj[ab] for ab in row] != [h_row[pb] for pb in proj]:
+            raise AssertionError("projection is not a homomorphism")
+
+
+@pytest.fixture(autouse=True)
+def projections_checked(monkeypatch):
+    """Every extension a test in this module builds has its projection
+    checked; the fixture's list holds (|Pi|, |H|) of each one."""
+    checked = []
+    inner = gog_module._check_exactness
+
+    def check(Pi, H, E, inclusion, projection):
+        inner(Pi, H, E, inclusion, projection)
+        _assert_projection_homomorphism(H, E, projection)
+        checked.append((Pi.order, H.order))
+
+    monkeypatch.setattr(gog_module, "_check_exactness", check)
+    return checked
 
 
 def trivial_gog(graph):
@@ -545,3 +573,37 @@ def test_extension_checks_match_reference():
         outcomes.add(None if want is None else want[1].split(" at ")[0].split("[")[0])
     assert {None, "alpha", "first cocycle condition fails",
             "second cocycle condition fails"} <= outcomes
+
+
+def test_projection_is_a_homomorphism_on_every_extension(projections_checked):
+    rng = random.Random(SEED)
+    built = []
+    for name in sorted(BENCHMARK_EXTENSIONS):
+        make, *args = BENCHMARK_EXTENSIONS[name]
+        data = make(*args)
+        built.append(schreier_extension(data))
+        for _ in range(2):
+            gamma = {h: rng.randrange(data.pi.order) for h in range(data.h.order)}
+            built.append(schreier_extension(schreier_regauge(data, gamma)[0]))
+    for Pi, H in [(Z3, Z2), (FiniteGroup.cyclic(5), Z4), (S3, Z2),
+                  (FiniteGroup.direct_product(Z2, Z2), Z3)]:
+        auts = Pi.automorphisms()
+        for _ in range(10):
+            data = ExtensionData(Pi, H, {h: rng.choice(auts) for h in range(H.order)},
+                                 {p: 0 for p in itertools.product(range(H.order), repeat=2)})
+            try:
+                data.validate()
+            except ValueError:
+                continue
+            built.append(schreier_extension(data))
+    assert len(built) > 40
+    assert projections_checked == [(e.data.pi.order, e.data.h.order) for e in built]
+    # the check is live: swapping the labels of two elements that lie over
+    # different elements of H keeps the projection onto but breaks it
+    ext = built[0]
+    broken = dict(ext.projection)
+    a = next(i for i in broken if broken[i] == 0 and i)
+    b = next(i for i in broken if broken[i] != 0)
+    broken[a], broken[b] = broken[b], broken[a]
+    with pytest.raises(AssertionError, match="projection is not a homomorphism"):
+        _assert_projection_homomorphism(ext.data.h, ext.group, broken)

@@ -5,6 +5,9 @@ from fractions import Fraction
 
 import pytest
 
+from anabel.currents import _constraint_matrix
+from anabel.gog import FiniteGroup, GraphOfFiniteGroups, pi1_presentation
+from anabel.graphs import BranchGraph
 from anabel.intlin import (
     FgAbGroup,
     IntMatrix,
@@ -238,6 +241,23 @@ def test_is_prime_matches_sieve():
     assert is_prime(2**31 - 1) and not is_prime(65537 * 65537)
 
 
+@pytest.mark.parametrize("p", [-3, 0, 1, 4, 9, 91])
+def test_prime_checks_keep_their_messages(p):
+    from anabel.gog import tempered_ab_profile
+    from anabel.splitting import radius_pushforward
+
+    # asked twice, so the second answer comes from the memo
+    for _ in range(2):
+        assert not is_prime(p)
+        with pytest.raises(ValueError) as err:
+            radius_pushforward(p, Fraction(1, 2))
+        assert str(err.value) == f"{p} is not prime (equal characteristic is rejected)"
+        with pytest.raises(ValueError) as err:
+            tempered_ab_profile(2, 1, p)
+        assert str(err.value) == "p must be prime"
+    assert is_prime.cache_info().maxsize is not None
+
+
 def test_row_reduce():
     rows, pivots = row_reduce([[0, 2, 4], [1, 1, 1], [1, 2, 3]], 3)
     assert pivots == [0, 1]
@@ -463,6 +483,58 @@ def _incidence_like(rng, n, m):
     return rows
 
 
+def _random_graph(rng, nv, ne):
+    """A connected BranchGraph: a random spanning tree plus random extra
+    edges, loops and parallel edges included."""
+    vs = [f"v{i}" for i in range(nv)]
+    edges = {f"t{i}": (vs[rng.randrange(i)], vs[i]) for i in range(1, nv)}
+    for j in range(ne - (nv - 1)):
+        edges[f"x{j}"] = (rng.choice(vs), rng.choice(vs))
+    return BranchGraph(vs, edges)
+
+
+def _graph_incidence(rng, nv, ne):
+    """Vertex-by-edge incidence matrix: +1 at the head, -1 at the tail, and
+    a zero column for a loop."""
+    G = _random_graph(rng, nv, ne)
+    at = {v: i for i, v in enumerate(G.vertices)}
+    rows = [[0] * len(G.edges) for _ in G.vertices]
+    for j, (tail, head) in enumerate(G.edges.values()):
+        if tail != head:
+            rows[at[head]][j], rows[at[tail]][j] = 1, -1
+    return rows
+
+
+def _relation_matrix(rng):
+    """Exponent sums of the relators of pi1 of a graph of cyclic groups
+    with trivial edge groups, the matrix the abelianization reduces."""
+    nv = rng.randint(1, 4)
+    G = _random_graph(rng, nv, rng.randint(nv - 1, nv + 2))
+    triv = FiniteGroup.trivial()
+    gog = GraphOfFiniteGroups(G, {v: FiniteGroup.cyclic(rng.randint(1, 4)) for v in G.vertices},
+                              {e: triv for e in G.edges}, {b: {0: 0} for b in G.branches()})
+    pres = pi1_presentation(gog)
+    n = len(pres.generators)
+    rows = []
+    for r in pres.relators:
+        row = [0] * n
+        for s in r:
+            row[abs(s) - 1] += 1 if s > 0 else -1
+        rows.append(row)
+    return n, rows
+
+
+def _signed_permutation(rng):
+    """One +-1 per row and at most one per column, with zero rows and
+    columns mixed in."""
+    k = rng.randint(1, 8)
+    n, m = k + rng.randint(0, 2), k + rng.randint(0, 2)
+    rows = [[0] * m for _ in range(n)]
+    for i, j in zip(rng.sample(range(n), k), rng.sample(range(m), k)):
+        rows[i][j] = rng.choice((1, -1))
+    return rows
+
+
 def _smith_corpus(rng):
     for _ in range(1500):
         n, m = rng.randint(0, 5), rng.randint(0, 5)
@@ -470,11 +542,32 @@ def _smith_corpus(rng):
     for _ in range(60):
         n, m = rng.randint(1, 30), rng.randint(1, 60)
         yield n, m, _incidence_like(rng, n, m)
-    # no unit entries at all, so the divisibility loop runs
+    # no unit entries at all, so the divisibility loop runs; the sparse
+    # phase finds no pivot and the dense phase gets the whole matrix
     for _ in range(500):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         yield n, m, [[rng.choice((0, 2, -2, 3, -3, 4, 6, -6, 9)) for _ in range(m)]
                      for _ in range(n)]
+    # the sparse matrices the library reduces
+    for _ in range(40):
+        nv = rng.randint(1, 12)
+        rows = _graph_incidence(rng, nv, rng.randint(nv - 1, 20))
+        yield len(rows), len(rows[0]), rows
+        if rng.random() < 0.5:
+            yield len(rows[0]), len(rows), [list(c) for c in zip(*rows)]
+    for _ in range(40):
+        nv = rng.randint(1, 8)
+        M, _ = _constraint_matrix(_random_graph(rng, nv, rng.randint(nv - 1, 14)))
+        yield M.rows, M.cols, M.to_rows()
+    for _ in range(40):
+        m, rows = _relation_matrix(rng)
+        yield len(rows), m, rows
+    for _ in range(100):
+        rows = _signed_permutation(rng)
+        yield len(rows), len(rows[0]), rows
+    for k in range(4):
+        yield 0, k, []
+        yield k, 0, [[] for _ in range(k)]
 
 
 def test_smith_normal_form_matches_reference():
@@ -491,6 +584,30 @@ def test_smith_normal_form_matches_reference():
         assert (S.rows, S.cols, S.entries) == (want.rows, want.cols, want.entries), rows
         _assert_smith_factorization(M, U, S, V)
         assert smith_diagonal(M) == tuple(S[i, i] for i in range(min(n, m))), rows
+
+
+def test_constraint_matrix_leaves_the_gcd_loop_an_empty_block(monkeypatch):
+    # the current constraint matrix of a 30-vertex, 70-edge graph (100 x 140)
+    # is cleared by unit pivots alone, with and without transforms
+    import anabel.intlin as intlin
+
+    blocks = []
+    dense = intlin._smith_dense
+
+    def counting(a, n, m, u=None, v=None):
+        blocks.append((n, m))
+        return dense(a, n, m, u, v)
+
+    monkeypatch.setattr(intlin, "_smith_dense", counting)
+    G = _random_graph(random.Random(SEED), 30, 70)
+    M, _ = _constraint_matrix(G)
+    assert (M.rows, M.cols) == (100, 140)
+    # the cycle rank is 70 - 30 + 1 = 41, and every other invariant is 1
+    assert smith_diagonal(M) == (1,) * 99 + (0,)
+    U, S, V = smith_normal_form(M)
+    assert S == IntMatrix(100, 140, [int(i == j < 99) for i in range(100) for j in range(140)])
+    assert U * M * V == S
+    assert blocks == [(0, 0), (0, 0)]
 
 
 # a 7 x 5 matrix on which a reduction that swaps in unreduced remainder rows

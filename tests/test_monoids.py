@@ -8,7 +8,7 @@ from fractions import Fraction
 import pytest
 
 from anabel import documents
-from anabel.intlin import FgAbGroup
+from anabel.intlin import FgAbGroup, IntMatrix, rank, smith_normal_form
 from anabel.monoids import (
     AffineMonoid,
     Counterexample,
@@ -347,6 +347,67 @@ def test_sharp_quotient_unit_line_off_the_axes(gens):
         i for i, g in enumerate(sharp.gens) if not any(g)
     }
     assert units.free_rank + sharp.gp_rank() == P.gp_rank()
+
+
+def _reference_sharp_quotient(P):
+    """The sharp quotient through a separate, fully tracked Smith form of
+    the unit generators: project onto the columns of V past their rank."""
+    ugens = [P.gens[i] for i in sorted(P.unit_generator_indices())]
+    if not ugens:
+        return FgAbGroup(0), AffineMonoid(P.dim, P.gens)
+    _, _, V = smith_normal_form(IntMatrix.from_rows(ugens))
+    r = rank(ugens, P.dim)
+    sharp = [tuple(sum(g[k] * V[k, j] for k in range(P.dim)) for j in range(r, P.dim))
+             for g in P.gens]
+    return FgAbGroup(r), AffineMonoid(P.dim - r, sharp)
+
+
+def _saturated_with_unit_lines(rng):
+    """Z^u x (a saturated sharp monoid) in Z^d, moved by a random unimodular
+    map, so that the unit lines are off the coordinate axes."""
+    d = rng.randint(2, 4)
+    u = rng.randint(1, d - 1)
+    e = [tuple(int(i == j) for j in range(d)) for i in range(d)]
+    gens = [v for i in range(u) for v in (e[i], tuple(-c for c in e[i]))]
+    if u >= 2 and rng.random() < 0.5:
+        gens.append(tuple(a - b for a, b in zip(e[0], e[1])))
+    gens += e[u:]
+    if d - u >= 2 and rng.random() < 0.5:
+        # the cone over (1, 0) and (1, 2) with its Hilbert basis
+        gens.remove(e[u + 1])
+        gens += [tuple(a + 2 * b for a, b in zip(e[u], e[u + 1])),
+                 tuple(a + b for a, b in zip(e[u], e[u + 1]))]
+    for _ in range(rng.randint(0, 2)):
+        gens.append(tuple(rng.randint(-2, 2) if j < u else rng.randint(0, 1)
+                          for j in range(d)))
+    # a product of elementary column operations
+    W = [list(r) for r in e]
+    for _ in range(rng.randint(2, 4)):
+        i, j = rng.sample(range(d), 2)
+        c = rng.choice((-1, 1, 2))
+        for row in W:
+            row[j] += c * row[i]
+    rng.shuffle(gens)
+    return AffineMonoid(d, [tuple(sum(g[k] * W[k][j] for k in range(d)) for j in range(d))
+                            for g in gens])
+
+
+def test_sharp_quotient_matches_tracked_smith_reference():
+    rng = random.Random(SEED)
+    off_axis = 0
+    for _ in range(40):
+        P = _saturated_with_unit_lines(rng)
+        units, sharp = P.sharp_quotient()
+        want_units, want_sharp = _reference_sharp_quotient(P)
+        assert units == want_units, P.gens
+        zeros = {i for i, g in enumerate(sharp.gens) if not any(g)}
+        assert zeros == {i for i, g in enumerate(want_sharp.gens) if not any(g)}, P.gens
+        assert zeros == P.unit_generator_indices()
+        assert sharp.unit_generator_indices() == zeros
+        assert sharp.gp_rank() == want_sharp.gp_rank()
+        assert units.free_rank + sharp.gp_rank() == P.gp_rank()
+        off_axis += any(sum(map(bool, P.gens[i])) > 1 for i in zeros)
+    assert off_axis > 20
 
 
 def cone_gens(d, k):
