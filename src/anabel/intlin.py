@@ -6,20 +6,18 @@ normal form, f.g. abelian groups, cokernels and lattice membership. One
 Smith kernel serves three modes: `smith_normal_form` has it track U and
 V, lattice membership has it track V alone, once per generator set, and
 `smith_diagonal` (behind cokernels, kernel ranks and mod-n solution
-groups) tracks no transforms. The kernel runs in two phases. The first
-works on sparse rows: each row in turn offers a +-1 entry, in the
-sparsest of its columns, as a pivot. Because the pivot is a unit, one
-pass of row operations clears its column exactly, with no remainder to
-come back; the column operations that would clear its row then add
-multiples of a column that is 0 outside the pivot row, so they change no
-other row and run on V alone. The pivot row and column are dropped. The
+groups) tracks no transforms. The kernel is one elimination on sparse
+rows. Its pivots come first from a walk over the rows, each offering a
++-1 entry in the sparsest of its columns, and then from the smallest
+entry left. A unit pivot clears its column with no remainder to come
+back, and the column operations that clear its row add multiples of a
+column that is 0 outside the pivot row, so they run on V alone; the
 incidence-type matrices of currents and graphs of groups are mostly or
-wholly cleared this way. The rows and columns left go to the second
-phase, a dense loop in which an entry the pivot does not divide is
-cleared by a 2 x 2 gcd step, so the pivot shrinks to the gcd and no
-unreduced remainder row becomes the next pivot; that is what keeps
-entries from running away. Everything works with plain integers and
-`Fraction`, so there is no overflow.
+wholly cleared this way. An entry the pivot does not divide is cleared
+by a 2 x 2 gcd step, so the pivot shrinks to the gcd and no unreduced
+remainder becomes the next pivot; that is what keeps entries from
+running away. Everything works with plain integers and `Fraction`, so
+there is no overflow.
 """
 
 from __future__ import annotations
@@ -282,20 +280,27 @@ def _smith_form(entries, n, m, u=False, v=False):
     rows with U*M*V = S, U and V unimodular, or None where `u` or `v` is
     false. A matrix with no rows or no columns returns at once.
 
-    The reduction runs in two phases. The first works on sparse rows
-    ({col: value} dicts) with a column-to-rows index. It walks the rows in
-    order once; in each it takes a +-1 entry, in the column that holds the
-    fewest entries (ties to the lower column), clears that column from the
-    other rows by row operations, and drops the pivot row and column. A
-    column operation that clears the rest of the pivot row adds a multiple
-    of the pivot column, which is now 0 outside the pivot row, so it
-    changes no other row: it is applied to V alone. U's rows and V's
-    columns are kept sparse too while this phase runs. The rows and
-    columns left with entries form the residual block, which goes to the
-    dense gcd loop `_smith_dense`; for graph incidence and current
-    constraint matrices it is empty. Finally U's rows and V's columns are
-    put in the order pivot, residual, zero, so the k unit pivots lead the
-    diagonal and the divisibility chain holds.
+    One elimination on sparse rows ({col: value} dicts) with a
+    column-to-rows index; U's rows and V's columns are sparse too. Pivots
+    come from two sources. First the rows are walked in order once: each
+    offers a +-1 entry, in the column that holds the fewest entries (ties
+    to the lower column). Then, while entries are left, the smallest
+    |entry|, first in row order. A pivot step clears the pivot's column by
+    row operations and then its row by column operations. An entry the
+    pivot d divides is cleared by subtracting a multiple of the pivot row
+    or column; any other entry x by a 2 x 2 unimodular step that puts
+    gcd(d, x) in the pivot's place, so the pivot only shrinks and no
+    unreduced remainder becomes the next pivot, which is what keeps entries
+    from running away. Once the column is clear, a column operation adds a
+    multiple of a column that is 0 outside the pivot row, so it changes no
+    other row and runs on V alone; a gcd step on columns refills the
+    pivot column, and the clearing starts again. Once row and column are
+    clear, a row holding an entry the pivot does not divide is added to
+    the pivot row and the clearing repeats, so each pivot divides every
+    entry left and the divisibility chain holds. A unit divides
+    everything, so a pivot from the walk never needs a gcd step or the
+    fold. U's rows and V's columns come out as the pivots in order, then
+    the zero rows and columns.
     """
     size = min(n, m)
     if not size:
@@ -313,64 +318,102 @@ def _smith_form(entries, n, m, u=False, v=False):
     us = [{i: 1} for i in range(n)] if u else None
     vs = [{j: 1} for j in range(m)] if v else None
     pivots = []
-    for i, prow in enumerate(rows):
-        units = [j for j, x in prow.items() if x == 1 or x == -1]
-        if not units:
-            continue
-        c = min(units, key=lambda j: (len(at[j]), j))
-        p = prow[c]
-        for r in at[c]:
-            if r == i:
-                continue
-            row = rows[r]
-            f = -p * row[c]
-            for j, x in prow.items():
-                y = row.get(j, 0) + f * x
-                if y:
-                    if j not in row:
-                        at[j].add(r)
-                    row[j] = y
-                else:
-                    del row[j]
-                    if j != c:
-                        at[j].discard(r)
-            if u:
-                _addmul(us[r], us[i], f)
-        at[c] = set()
-        for j, x in prow.items():
-            if j != c:
+    walk = iter(range(n))
+    while True:
+        for i in walk:
+            units = [j for j, x in rows[i].items() if x == 1 or x == -1]
+            if units:
+                c = min(units, key=lambda j: (len(at[j]), j))
+                break
+        else:
+            least = min(((abs(x), r, j) for r, row in enumerate(rows) if row
+                         for j, x in row.items()), default=None)
+            if least is None:
+                break
+            _, i, c = least
+        d = rows[i][c]
+        while True:
+            # clear column c by row operations
+            prow = rows[i]
+            for r in list(at[c]):
+                if r == i:
+                    continue
+                x = rows[r][c]
+                if x % d:
+                    g, p, q = _xgcd(d, x)
+                    s, t = -(x // g), d // g
+                    _pair(rows, i, r, p, q, s, t, at)
+                    if u:
+                        _pair(us, i, r, p, q, s, t)
+                    d, prow = g, rows[i]
+                    continue
+                row, f = rows[r], -(x // d)
+                for j, y in prow.items():
+                    z = row.get(j, 0) + f * y
+                    if z:
+                        if j not in row:
+                            at[j].add(r)
+                        row[j] = z
+                    else:
+                        del row[j]
+                        if j != c:
+                            at[j].discard(r)
+                if u:
+                    _addmul(us[r], us[i], f)
+            at[c] = {i}
+            # clear row i by column operations; column c is 0 outside row i
+            # until a gcd step refills it and the clearing starts again
+            for j, x in list(prow.items()):
+                if j == c:
+                    continue
+                if x % d:
+                    g, p, q = _xgcd(d, x)
+                    s, t = -(x // g), d // g
+                    for r in at[c] | at[j]:
+                        row = rows[r]
+                        y, z = row.pop(c, 0), row.pop(j, 0)
+                        for k, w in ((c, p * y + q * z), (j, s * y + t * z)):
+                            if w:
+                                row[k] = w
+                                at[k].add(r)
+                            else:
+                                at[k].discard(r)
+                    if v:
+                        _pair(vs, c, j, p, q, s, t)
+                    d = g
+                    break
+                del prow[j]
                 at[j].discard(i)
                 if v:
-                    _addmul(vs[j], vs[c], -p * x)
-        if p == -1 and u:
+                    _addmul(vs[j], vs[c], -(x // d))
+            else:
+                # fold in a row with an entry the pivot does not divide
+                if d == 1 or d == -1:
+                    break
+                bad = next((r for r, row in enumerate(rows) if row and r != i
+                            and any(x % d for x in row.values())), None)
+                if bad is None:
+                    break
+                _pair(rows, i, bad, 1, 1, 0, 1, at)
+                if u:
+                    _addmul(us[i], us[bad], 1)
+        if d < 0 and u:
             us[i] = {j: -x for j, x in us[i].items()}
         rows[i] = None
-        pivots.append((i, c))
+        at[c] = set()
+        pivots.append((i, c, abs(d)))
 
-    prows = [i for i, _ in pivots]
-    pcols = [c for _, c in pivots]
-    rrows = [i for i, row in enumerate(rows) if row]
-    rcols = [j for j in range(m) if at[j]]
-    zrows = [i for i, row in enumerate(rows) if row == {}]
-    zcols = sorted(set(range(m)) - set(pcols) - set(rcols))
-    a = [[rows[i].get(j, 0) for j in rcols] for i in rrows]
-    ur = [_dense_row(us[i], n) for i in rrows] if u else None
-    vr = [[vs[j].get(r, 0) for j in rcols] for r in range(m)] if v else None
-    _smith_dense(a, len(rrows), len(rcols), ur, vr)
-    k = len(pivots)
-    diag = [1] * k + [a[t][t] for t in range(min(len(rrows), len(rcols)))]
-    diag += [0] * (size - len(diag))
+    diag = [d for _, _, d in pivots] + [0] * (size - len(pivots))
     U = V = None
     if u:
-        U = ([_dense_row(us[i], n) for i in prows] + ur
-             + [_dense_row(us[i], n) for i in zrows])
+        order = [i for i, _, _ in pivots] + [i for i, row in enumerate(rows) if row is not None]
+        U = [_dense_row(us[i], n) for i in order]
     if v:
+        pcols = [c for _, c, _ in pivots]
         V = [[0] * m for _ in range(m)]
-        for t, j in enumerate(pcols + rcols + zcols):
+        for t, j in enumerate(pcols + sorted(set(range(m)).difference(pcols))):
             for r, x in vs[j].items():
                 V[r][t] = x
-        for row, res in zip(V, vr):
-            row[k:k + len(res)] = res
     return diag, U, V
 
 
@@ -384,117 +427,26 @@ def _addmul(dst: dict, src: dict, f: int) -> None:
             del dst[j]
 
 
+def _pair(vecs, i, k, p, q, r, s, at=None) -> None:
+    """(vecs[i], vecs[k]) <- (p vecs[i] + q vecs[k], r vecs[i] + s vecs[k])
+    on sparse vectors. `at`, when given, maps each index to the set of
+    vectors that hold it, and is kept current."""
+    a, b = vecs[i], vecs[k]
+    for t, x, y in ((i, p, q), (k, r, s)):
+        new = {j: z for j in a.keys() | b.keys() if (z := x * a.get(j, 0) + y * b.get(j, 0))}
+        if at is not None:
+            for j in vecs[t].keys() - new.keys():
+                at[j].discard(t)
+            for j in new.keys() - vecs[t].keys():
+                at[j].add(t)
+        vecs[t] = new
+
+
 def _dense_row(row: dict, width: int) -> List[int]:
     out = [0] * width
     for j, x in row.items():
         out[j] = x
     return out
-
-
-def _smith_dense(a, n, m, u=None, v=None) -> None:
-    """Reduce the n x m integer matrix `a` (a list of row lists) in place to
-    Smith form: diagonal with nonnegative entries d1 | d2 | ...
-
-    Each row operation is also applied to `u`, and each column operation to
-    `v`, when they are given; `u` holds one row per row of `a` and `v` one
-    column per column of `a`, of any length. The pivot at step t is the
-    smallest nonzero |entry| of the block a[t:][t:] (first in row-major
-    order; the search stops at a unit), moved to (t, t). An entry of its
-    column or row that the pivot divides is cleared by subtracting a
-    multiple of the pivot row or column; any other entry x is cleared by a
-    2 x 2 unimodular step that puts gcd(pivot, x) on the diagonal, so the
-    pivot only shrinks and no remainder is ever swapped in unreduced. Once
-    row and column are clear, a row holding an entry the pivot does not
-    divide is added to the pivot row and the clearing repeats; a unit pivot
-    divides everything.
-    """
-    row_mats = (a,) if u is None else (a, u)
-    col_mats = (a,) if v is None else (a, v)
-
-    def rows(i, k, p, q, r, s):
-        # (row i, row k) <- (p row i + q row k, r row i + s row k)
-        for b in row_mats:
-            x, y = b[i], b[k]
-            if (p, q, s) == (1, 0, 1):
-                b[k] = [yi + r * xi for xi, yi in zip(x, y)]
-            elif (p, q, r, s) == (0, 1, 1, 0):
-                b[i], b[k] = y, x
-            else:
-                b[i] = [p * xi + q * yi for xi, yi in zip(x, y)]
-                b[k] = [r * xi + s * yi for xi, yi in zip(x, y)]
-
-    def cols(j, k, p, q, r, s):
-        # the same on columns j and k, in place, skipping rows where the
-        # entries that feed the result are 0
-        for b in col_mats:
-            if (p, q, s) == (1, 0, 1):
-                for row in b:
-                    if row[j]:
-                        row[k] += r * row[j]
-            else:
-                for row in b:
-                    x, y = row[j], row[k]
-                    if x or y:
-                        row[j], row[k] = p * x + q * y, r * x + s * y
-
-    for t in range(min(n, m)):
-        best = None
-        for i in range(t, n):
-            row = a[i]
-            for j in range(t, m):
-                x = row[j]
-                if x and (best is None or abs(x) < best[0]):
-                    best = (abs(x), i, j)
-                    if best[0] == 1:
-                        break
-            else:
-                continue
-            break
-        if best is None:
-            break
-        _, pi, pj = best
-        if pi != t:
-            rows(t, pi, 0, 1, 1, 0)
-        if pj != t:
-            cols(t, pj, 0, 1, 1, 0)
-        d = a[t][t]
-        while True:
-            for i in range(t + 1, n):
-                x = a[i][t]
-                if not x:
-                    continue
-                if x % d:
-                    g, p, q = _xgcd(d, x)
-                    rows(t, i, p, q, -(x // g), d // g)
-                    d = g
-                else:
-                    rows(t, i, 1, 0, -(x // d), 1)
-            # a gcd step on columns refills column t
-            refilled = False
-            for j in range(t + 1, m):
-                x = a[t][j]
-                if not x:
-                    continue
-                if x % d:
-                    g, p, q = _xgcd(d, x)
-                    cols(t, j, p, q, -(x // g), d // g)
-                    d = g
-                    refilled = True
-                else:
-                    cols(t, j, 1, 0, -(x // d), 1)
-            if refilled:
-                continue
-            if d in (1, -1):
-                break
-            bad = next(
-                (i for i in range(t + 1, n) if any(x % d for x in a[i][t + 1:])),
-                None,
-            )
-            if bad is None:
-                break
-            rows(bad, t, 1, 0, 1, 1)
-        if d < 0:
-            rows(t, t, 1, 0, -2, 1)  # row t - 2 row t: negate row t
 
 
 def smith_normal_form(M: IntMatrix) -> Tuple[IntMatrix, IntMatrix, IntMatrix]:
@@ -545,9 +497,6 @@ def solution_group_mod(M: IntMatrix, n: int) -> FgAbGroup:
     )
     # every factor divides n, and d_i | d_j gives gcd(d_i, n) | gcd(d_j, n),
     # so the sorted factors form a divisibility chain
-    for a, b in zip(factors, factors[1:]):
-        if b % a:
-            raise AssertionError("mod-n solution factors broke divisibility")
     return FgAbGroup(0, tuple(factors))
 
 
@@ -578,8 +527,11 @@ def _lattice_transform(gens: Tuple[Tuple[int, ...], ...]) -> Tuple[Tuple[Tuple[i
     """(column j of V, d_j) for each j with d_j != 1, where U M V = S is the
     Smith form of the rows gens and d_j = 0 past the rank; a unit invariant
     constrains nothing. `is_saturated`, `saturation` and monoid membership
-    ask about many points of one lattice, so each set is reduced once."""
+    ask about many points of one lattice, so each set is reduced once, and
+    checked once to hold generators of one length."""
     k, d = len(gens), len(gens[0])
+    if any(len(g) != d for g in gens):
+        raise ValueError("ambient dimension mismatch")
     diag, _, v = _smith_form([x for g in gens for x in g], k, d, False, True)
     out = []
     for j in range(d):

@@ -1,3 +1,4 @@
+import dataclasses
 import itertools
 import os
 import random
@@ -32,30 +33,57 @@ S3 = FiniteGroup.symmetric(3)
 TRIV = FiniteGroup.trivial()
 
 
-def _assert_projection_homomorphism(H, E, projection):
-    """(h, x) -> h is a homomorphism E -> H, checked on every product.
-    `schreier_extension` does not run this check: it builds the H-coordinate
-    of (h1, x1)(h2, x2) as h1 h2, so the check holds by construction."""
-    proj = [projection[a] for a in range(E.order)]
-    for row, pa in zip(E.table, proj):
-        h_row = H.table[pa]
-        if [proj[ab] for ab in row] != [h_row[pb] for pb in proj]:
-            raise AssertionError("projection is not a homomorphism")
+def _extension_problems(ext):
+    """Every property of `ext` that `schreier_extension` leaves to its
+    construction, each checked on its own: the messages of those that fail.
+    Pi -> E -> H is exact (the inclusion is an injective homomorphism, the
+    projection is onto and its kernel is the image of Pi), E has order
+    |Pi| |H|, the inverse formula of the docstring holds, and the projection
+    is a homomorphism."""
+    Pi, H, E = ext.data.pi, ext.data.h, ext.group
+    inclusion, proj = ext.inclusion, [ext.projection[a] for a in range(E.order)]
+    problems = []
+    if any(E.op(inclusion[a], inclusion[b]) != inclusion[Pi.op(a, b)]
+           for a in range(Pi.order) for b in range(Pi.order)):
+        problems.append("inclusion is not a homomorphism")
+    if len(set(inclusion.values())) != Pi.order:
+        problems.append("inclusion is not injective")
+    if set(proj) != set(range(H.order)):
+        problems.append("projection is not surjective")
+    if {a for a in range(E.order) if proj[a] == 0} != set(inclusion.values()):
+        problems.append("kernel of projection differs from image of Pi")
+    if E.order != Pi.order * H.order:
+        problems.append("extension has wrong order")
+    g00_inv = Pi.inv(ext.data.g[(0, 0)])
+    for i, (h, x) in enumerate(ext.elements):
+        hinv = H.inv(h)
+        formula = Pi.op(Pi.op(g00_inv, Pi.inv(ext.data.g[(hinv, h)])),
+                        Pi.inv(ext.data.alpha[hinv][x]))
+        if ext.element_index(hinv, formula) != E.inv(i):
+            problems.append("inverse formula fails")
+            break
+    if any([proj[ab] for ab in row] != [H.table[pa][pb] for pb in proj]
+           for row, pa in zip(E.table, proj)):
+        problems.append("projection is not a homomorphism")
+    return problems
 
 
 @pytest.fixture(autouse=True)
 def projections_checked(monkeypatch):
-    """Every extension a test in this module builds has its projection
-    checked; the fixture's list holds (|Pi|, |H|) of each one."""
+    """Every extension a test in this module builds, directly or through
+    `anabel.gog`, goes through `_extension_problems`; the fixture's list
+    holds (|Pi|, |H|) of each one."""
     checked = []
-    inner = gog_module._check_exactness
+    build = gog_module.schreier_extension
 
-    def check(Pi, H, E, inclusion, projection):
-        inner(Pi, H, E, inclusion, projection)
-        _assert_projection_homomorphism(H, E, projection)
-        checked.append((Pi.order, H.order))
+    def checked_build(data):
+        ext = build(data)
+        assert _extension_problems(ext) == []
+        checked.append((data.pi.order, data.h.order))
+        return ext
 
-    monkeypatch.setattr(gog_module, "_check_exactness", check)
+    monkeypatch.setattr(gog_module, "schreier_extension", checked_build)
+    monkeypatch.setitem(globals(), "schreier_extension", checked_build)
     return checked
 
 
@@ -598,12 +626,29 @@ def test_projection_is_a_homomorphism_on_every_extension(projections_checked):
             built.append(schreier_extension(data))
     assert len(built) > 40
     assert projections_checked == [(e.data.pi.order, e.data.h.order) for e in built]
-    # the check is live: swapping the labels of two elements that lie over
-    # different elements of H keeps the projection onto but breaks it
+    # each check is live: a break planted in what it reads is caught
     ext = built[0]
-    broken = dict(ext.projection)
-    a = next(i for i in broken if broken[i] == 0 and i)
-    b = next(i for i in broken if broken[i] != 0)
-    broken[a], broken[b] = broken[b], broken[a]
-    with pytest.raises(AssertionError, match="projection is not a homomorphism"):
-        _assert_projection_homomorphism(ext.data.h, ext.group, broken)
+    proj = ext.projection
+    a = next(i for i in proj if proj[i] == 0 and i)
+    b = next(i for i in proj if proj[i] != 0)
+    # the labels of two elements over different elements of H swapped
+    swapped = {**proj, a: proj[b], b: proj[a]}
+    relabeled = list(ext.elements)
+    relabeled[a], relabeled[b] = relabeled[b], relabeled[a]
+    double = FiniteGroup.direct_product(ext.group, Z2)  # element 2k + z is (k, z)
+    breaks = {
+        "inclusion is not a homomorphism":
+            {"inclusion": {**ext.inclusion, 1: ext.inclusion[2], 2: ext.inclusion[1]}},
+        "inclusion is not injective": {"inclusion": dict.fromkeys(ext.inclusion, 0)},
+        "projection is not surjective": {"projection": dict.fromkeys(proj, 0)},
+        "kernel of projection differs from image of Pi": {"projection": swapped},
+        "extension has wrong order": {
+            "group": double, "elements": [el for el in ext.elements for _ in range(2)],
+            "inclusion": {x: 2 * i for x, i in ext.inclusion.items()},
+            "projection": {k: proj[k // 2] for k in range(double.order)}},
+        "inverse formula fails": {"elements": relabeled},
+        "projection is not a homomorphism": {"projection": swapped},
+    }
+    assert _extension_problems(ext) == []
+    for message, planted in breaks.items():
+        assert message in _extension_problems(dataclasses.replace(ext, **planted)), message

@@ -542,8 +542,8 @@ def _smith_corpus(rng):
     for _ in range(60):
         n, m = rng.randint(1, 30), rng.randint(1, 60)
         yield n, m, _incidence_like(rng, n, m)
-    # no unit entries at all, so the divisibility loop runs; the sparse
-    # phase finds no pivot and the dense phase gets the whole matrix
+    # no unit entries at all, so the row walk finds no pivot: every pivot
+    # is the smallest entry left, and gcd steps and the divisibility fold run
     for _ in range(500):
         n, m = rng.randint(1, 5), rng.randint(1, 5)
         yield n, m, [[rng.choice((0, 2, -2, 3, -3, 4, 6, -6, 9)) for _ in range(m)]
@@ -588,17 +588,18 @@ def test_smith_normal_form_matches_reference():
 
 def test_constraint_matrix_leaves_the_gcd_loop_an_empty_block(monkeypatch):
     # the current constraint matrix of a 30-vertex, 70-edge graph (100 x 140)
-    # is cleared by unit pivots alone, with and without transforms
+    # is cleared by unit pivots alone, with and without transforms: no gcd
+    # step is taken
     import anabel.intlin as intlin
 
-    blocks = []
-    dense = intlin._smith_dense
+    steps = []
+    xgcd = intlin._xgcd
 
-    def counting(a, n, m, u=None, v=None):
-        blocks.append((n, m))
-        return dense(a, n, m, u, v)
+    def counting(a, b):
+        steps.append((a, b))
+        return xgcd(a, b)
 
-    monkeypatch.setattr(intlin, "_smith_dense", counting)
+    monkeypatch.setattr(intlin, "_xgcd", counting)
     G = _random_graph(random.Random(SEED), 30, 70)
     M, _ = _constraint_matrix(G)
     assert (M.rows, M.cols) == (100, 140)
@@ -607,7 +608,7 @@ def test_constraint_matrix_leaves_the_gcd_loop_an_empty_block(monkeypatch):
     U, S, V = smith_normal_form(M)
     assert S == IntMatrix(100, 140, [int(i == j < 99) for i in range(100) for j in range(140)])
     assert U * M * V == S
-    assert blocks == [(0, 0), (0, 0)]
+    assert steps == []
 
 
 # a 7 x 5 matrix on which a reduction that swaps in unreduced remainder rows
@@ -706,3 +707,7 @@ def test_lattice_member_reduces_each_generator_set_once(monkeypatch):
     assert calls == [(3, 3), (2, 3)]
     with pytest.raises(ValueError, match="ambient dimension mismatch"):
         lattice_member(gens, [1, 2])
+    # every generator is measured against the target, not only the first
+    for ragged, x in [([[0, 1], [1]], [1, 0]), ([[1, 0], [0, 1, 5]], [0, 1])]:
+        with pytest.raises(ValueError, match="ambient dimension mismatch"):
+            lattice_member(ragged, x)
