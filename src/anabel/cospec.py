@@ -3,18 +3,22 @@ and semistable-curve graph cospecialization."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
-from .graphs import BranchGraph, GeneralizedMorphism
-from .poly import Element, PolysimplicialSet, transitive_closure
-from .poly_ops import CellFunctor, IsoReport, PolyMorphism, is_cospec_iso  # noqa: F401
+# the functions below import the modules they run, so a poset document
+# (the `cospec` command) loads neither graphs nor poly_ops
+if TYPE_CHECKING:
+    from .graphs import BranchGraph, GeneralizedMorphism
+    from .poly import PolysimplicialSet
+    from .poly_ops import PolyMorphism
 
 
 class Poset:
     """Finite poset given by elements and either covering or full relations."""
 
     def __init__(self, elements: Sequence[str], le_pairs: Sequence[Tuple[str, str]]):
+        from .poly import transitive_closure
+
         self.elements: Tuple[str, ...] = tuple(sorted(str(e) for e in elements))
         els = set(self.elements)
         if len(els) != len(self.elements):
@@ -67,16 +71,12 @@ class Poset:
         return f"Poset({list(self.elements)!r}, {covers!r})"
 
 
-@dataclass
 class ClosureIncidence:
     """Relation R(x2, x1): the S1-stratum x1 lies in the closure of x2."""
 
-    s1: Poset
-    s2: Poset
-    pairs: Set[Tuple[str, str]] = field(default_factory=set)
-
-    def __post_init__(self):
-        self.pairs = {(str(a), str(b)) for a, b in self.pairs}
+    def __init__(self, s1: Poset, s2: Poset, pairs: Iterable[Tuple[str, str]] = ()):
+        self.s1, self.s2 = s1, s2
+        self.pairs: Set[Tuple[str, str]] = {(str(a), str(b)) for a, b in pairs}
         for (x2, x1) in self.pairs:
             if x2 not in self.s2.elements or x1 not in self.s1.elements:
                 raise ValueError(f"incidence pair ({x2}, {x1}) out of range")
@@ -172,7 +172,7 @@ def cospec_polysimplicial(
     morphism is unique, and this is asserted. A strata map admitting no
     morphism (the compatibility square fails) raises ValueError.
     """
-    from .poly import epis_onto
+    from .poly import Element, epis_onto
     from .poly_ops import _natural_maps
 
     for c in C1.cells:
@@ -212,6 +212,8 @@ def curve_cospec(
     slot map) or to ("collapse", target vertex). The result is a true
     morphism exactly when nothing collapses.
     """
+    from .graphs import GeneralizedMorphism
+
     emap = {}
     bmaps = {}
     for e in G1.edges:

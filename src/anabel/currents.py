@@ -6,9 +6,8 @@ vertex law constrains them; they still enter every Kirchhoff sum.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
-from typing import Dict, List, Optional, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .graphs import Branch, BranchGraph
 from .intlin import FgAbGroup, IntMatrix, kernel_rank, solution_group_mod
@@ -137,8 +136,7 @@ def current_group(
     return group, basis
 
 
-@dataclass
-class PathCurrentResult:
+class PathCurrentResult(NamedTuple):
     current: Optional[Current]
     values: Dict[Branch, int]
     boundary: Dict[str, int]
@@ -191,21 +189,16 @@ def path_current(
     )
 
 
-@dataclass
 class SubgraphStar:
     """A subgraph K and the set of edges meeting it."""
 
-    graph: BranchGraph
-    vertices: Set[str]
-    edges: Set[str]
-
-    def __post_init__(self):
-        vs = set(self.graph.vertices)
-        if not set(self.vertices) <= vs:
+    def __init__(self, graph: BranchGraph, vertices: Set[str], edges: Set[str]):
+        if not set(vertices) <= set(graph.vertices):
             raise ValueError("subgraph vertices not in graph")
-        for e in self.edges:
-            if not set(self.graph.edges[e]) <= set(self.vertices):
+        for e in edges:
+            if not set(graph.edges[e]) <= set(vertices):
                 raise ValueError(f"subgraph edge {e} leaves the vertex set")
+        self.graph, self.vertices, self.edges = graph, vertices, edges
 
     def star_edges(self) -> Set[str]:
         return {
@@ -229,8 +222,7 @@ def vanishes_on_star(
     return True
 
 
-@dataclass(frozen=True)
-class GraphAutomorphism:
+class GraphAutomorphism(NamedTuple):
     """Vertex/edge/branch permutation of a branch graph."""
 
     vertex_map: Tuple[Tuple[str, str], ...]

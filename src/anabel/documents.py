@@ -8,9 +8,8 @@ build lists. Serialization is deterministic, so documents are diffable.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from fractions import Fraction
-from typing import TYPE_CHECKING, List, Optional, Sequence, Tuple, Union
+from typing import TYPE_CHECKING, List, NamedTuple, Optional, Sequence, Tuple, Union
 
 # each loader imports the library module it builds from, so parsing a
 # document loads only the modules its kind needs
@@ -35,11 +34,9 @@ KINDS = (
 )
 
 
-@dataclass
 class Node:
-    entries: List[Tuple[Tuple[str, ...], Union[Tuple[str, ...], "Node"]]] = field(
-        default_factory=list
-    )
+    def __init__(self):
+        self.entries: List[Tuple[Tuple[str, ...], Union[Tuple[str, ...], Node]]] = []
 
     def scalars(self, head: str):
         return [
@@ -486,8 +483,7 @@ def load_graph_of_groups(node: Node) -> GraphOfFiniteGroups:
 # -- posets and incidences ----------------------------------------------------------
 
 
-@dataclass
-class PosetDocument:
+class PosetDocument(NamedTuple):
     s1: Poset
     s2: Optional[Poset]
     incidence: Optional[ClosureIncidence]

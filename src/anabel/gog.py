@@ -9,10 +9,9 @@ table, associativity on a generating set (Light's test, which is exact).
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass, field
 from functools import cached_property
 from operator import itemgetter
-from typing import Dict, List, Sequence, Set, Tuple
+from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
 
 from .graphs import Branch, BranchGraph
 from .intlin import FgAbGroup, IntMatrix, cokernel_group, is_prime
@@ -406,8 +405,7 @@ def abelianized_pi1_product_formula(gog: GraphOfFiniteGroups) -> FgAbGroup:
     return FgAbGroup(vertex_part.free_rank + G.cycle_rank(), vertex_part.torsion)
 
 
-@dataclass(frozen=True)
-class TemperedAbProfile:
+class TemperedAbProfile(NamedTuple):
     """Rank profile of the abelianized prime-to-p tempered group."""
 
     free_rank: int
@@ -434,8 +432,7 @@ def tempered_ab_profile(g: int, h: int, p: int) -> TemperedAbProfile:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class GoGCover:
+class GoGCover(NamedTuple):
     """Per-vertex G_v-sets with equivariant edge gluings.
 
     vertex_sets[v] is the size of S_v; vertex_actions[v][g] is the
@@ -448,8 +445,7 @@ class GoGCover:
     edge_glue: Dict[str, Perm]
 
 
-@dataclass
-class CoverReport:
+class CoverReport(NamedTuple):
     ok: bool
     violations: List[str]
     topological: bool
@@ -520,14 +516,12 @@ def validate_gog_cover(gog: GraphOfFiniteGroups, cover: GoGCover) -> CoverReport
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class ExtensionData:
     """Twisting data: automorphisms alpha_h of Pi and elements g_{h,h'}."""
 
-    pi: FiniteGroup
-    h: FiniteGroup
-    alpha: Dict[int, Perm]
-    g: Dict[Tuple[int, int], int]
+    def __init__(self, pi: FiniteGroup, h: FiniteGroup, alpha: Dict[int, Perm],
+                 g: Dict[Tuple[int, int], int]):
+        self.pi, self.h, self.alpha, self.g = pi, h, alpha, g
 
     def validate(self) -> "ExtensionData":
         Pi, H = self.pi, self.h
@@ -581,17 +575,18 @@ class CocycleError(ValueError):
         self.witness = witness
 
 
-@dataclass
 class SchreierExtension:
-    group: FiniteGroup
-    elements: List[Tuple[int, int]]  # (h, g) pairs, alpha is determined
-    inclusion: Dict[int, int]  # Pi -> E
-    projection: Dict[int, int]  # E -> H
-    data: ExtensionData
-    _index: Dict[Tuple[int, int], int] = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        self._index = {el: i for i, el in enumerate(self.elements)}
+    def __init__(
+        self,
+        group: FiniteGroup,
+        elements: List[Tuple[int, int]],  # (h, g) pairs, alpha is determined
+        inclusion: Dict[int, int],  # Pi -> E
+        projection: Dict[int, int],  # E -> H
+        data: ExtensionData,
+    ):
+        self.group, self.elements, self.data = group, elements, data
+        self.inclusion, self.projection = inclusion, projection
+        self._index = {el: i for i, el in enumerate(elements)}
 
     def element_index(self, h: int, g: int) -> int:
         return self._index[(h, g)]

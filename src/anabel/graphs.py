@@ -16,7 +16,6 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
 from fractions import Fraction
 from functools import cached_property
 from typing import Dict, FrozenSet, Iterable, List, Optional, Sequence, Set, Tuple
@@ -594,15 +593,20 @@ def rigidity_kernel(
 # ---------------------------------------------------------------------------
 
 
-@dataclass
 class GeneralizedMorphism:
     """Graph map allowed to collapse edges onto vertices."""
 
-    source: BranchGraph
-    target: BranchGraph
-    vertex_map: Dict[str, str]
-    edge_map: Dict[str, Tuple[str, str]]  # e -> ("edge", e') or ("vertex", v')
-    branch_maps: Dict[str, Dict[int, int]] = field(default_factory=dict)
+    def __init__(
+        self,
+        source: BranchGraph,
+        target: BranchGraph,
+        vertex_map: Dict[str, str],
+        edge_map: Dict[str, Tuple[str, str]],  # e -> ("edge", e') or ("vertex", v')
+        branch_maps: Optional[Dict[str, Dict[int, int]]] = None,
+    ):
+        self.source, self.target = source, target
+        self.vertex_map, self.edge_map = vertex_map, edge_map
+        self.branch_maps = {} if branch_maps is None else branch_maps
 
     def validate(self) -> "GeneralizedMorphism":
         for v in self.source.vertices:

@@ -9,7 +9,6 @@ Divisibility is written additively: a | b iff b - a lies in the monoid.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property, lru_cache
 from math import gcd, lcm
@@ -342,12 +341,19 @@ class AffineMonoid:
         return rank(self.gens, self.dim)
 
 
-@dataclass(frozen=True)
 class Face:
     """A face of an affine monoid, as the set of generator indices it spans."""
 
-    monoid: AffineMonoid
-    indices: frozenset
+    def __init__(self, monoid: AffineMonoid, indices: frozenset):
+        self.monoid, self.indices = monoid, indices
+
+    def __eq__(self, other):
+        if other.__class__ is not Face:
+            return NotImplemented
+        return (self.monoid, self.indices) == (other.monoid, other.indices)
+
+    def __hash__(self):
+        return hash((self.monoid, self.indices))
 
     def generators(self) -> List[Vec]:
         return [self.monoid.gens[i] for i in sorted(self.indices)]
@@ -450,14 +456,26 @@ def _check_primes(primes: Sequence[int]) -> None:
             raise ValueError(f"primes must be >= 2, got {p}")
 
 
-@dataclass(frozen=True)
 class Counterexample:
-    """Violating tuple returned by the bounded morphism checkers."""
+    """Violating tuple returned by the bounded morphism checkers; falsy, so
+    a checker's result reads as its verdict."""
 
-    data: tuple
+    def __init__(self, data: tuple):
+        self.data = data
+
+    def __eq__(self, other):
+        if other.__class__ is not Counterexample:
+            return NotImplemented
+        return self.data == other.data
+
+    def __hash__(self):
+        return hash((self.data,))
 
     def __bool__(self):
         return False
+
+    def __repr__(self):
+        return f"Counterexample(data={self.data!r})"
 
 
 PASS = None  # sentinel: checkers return None on Pass, a Counterexample otherwise

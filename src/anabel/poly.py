@@ -24,9 +24,8 @@ factors through epi-mono decomposition.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, Iterator, List, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Sequence, Set, Tuple
 
 PolyIndex = Tuple[int, ...]
 Point = Tuple[int, ...]
@@ -420,8 +419,7 @@ def _factor(gamma: LambdaMorphism) -> Tuple[LambdaMorphism, LambdaMorphism]:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Element:
+class Element(NamedTuple):
     """A polysimplex in normal form: nondegenerate cell plus epi part."""
 
     cell: str
@@ -611,14 +609,24 @@ class PolysimplicialSet:
     # -- strata poset -------------------------------------------------------------
 
     def strata_order_pairs(self) -> Set[Tuple[str, str]]:
-        """Pairs (x, y) with x <= y: x arises from y along some morphism."""
+        """Pairs (x, y) with x <= y: x arises from y along some morphism.
+
+        The transitive closure of the pairs (x, y) with x the cell of a
+        nondegenerate act(cell_element(y), iota), iota an injection into
+        y's index. An invertible iota gives y itself. For a non-invertible
+        iota, on a complex that validates, act returns the face entry
+        x(y, iota) up to an automorphism of its level, and an isomorphism
+        keeps the cell and keeps the epi invertible or not. So the pairs
+        are read off the face entries of y whose epi is invertible.
+        """
         le: Set[Tuple[str, str]] = {(c, c) for c in self.cells}
+        faces = self.faces
         for y, n in self.cells.items():
-            base = self.cell_element(y)
             for iota in injections_into(n):
-                got = self.act(base, iota)
-                if got.is_nondegenerate():
-                    le.add((got.cell, y))
+                if not iota.is_iso():
+                    entry = faces[(y, iota)]
+                    if entry.epi.is_iso():
+                        le.add((entry.cell, y))
         return transitive_closure(le)
 
 

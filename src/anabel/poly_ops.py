@@ -5,8 +5,9 @@ cell categories."""
 from __future__ import annotations
 
 from collections import deque
-from dataclasses import dataclass
-from typing import Callable, Dict, Iterable, Iterator, List, Optional, Sequence, Set, Tuple
+from typing import (
+    Callable, Dict, Iterable, Iterator, List, NamedTuple, Optional, Sequence, Set, Tuple,
+)
 
 from .presentations import GroupPresentation
 from .poly import (
@@ -25,13 +26,12 @@ from .poly import (
 )
 
 
-@dataclass
 class PolyMorphism:
     """A map of polysimplicial sets, given on nondegenerate cells."""
 
-    source: PolysimplicialSet
-    target: PolysimplicialSet
-    cell_map: Dict[str, Element]
+    def __init__(self, source: PolysimplicialSet, target: PolysimplicialSet,
+                 cell_map: Dict[str, Element]):
+        self.source, self.target, self.cell_map = source, target, cell_map
 
     def apply(self, elt: Element) -> Element:
         img = self.cell_map[elt.cell]
@@ -119,8 +119,7 @@ def _elt_key(C: PolysimplicialSet, e: Element):
     return (e.level, e.cell, e.epi)
 
 
-@dataclass
-class QuotientResult:
+class QuotientResult(NamedTuple):
     complex: PolysimplicialSet
     projection: PolyMorphism
 
@@ -268,8 +267,7 @@ def coequalizer(f: PolyMorphism, g: PolyMorphism) -> QuotientResult:
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class CellFunctor:
+class CellFunctor(NamedTuple):
     """Finite-set functor data on the cell category of a complex.
 
     values[c] lists the set over cell c; transitions[(c, iota)] maps
@@ -377,8 +375,7 @@ def box_extend(C: PolysimplicialSet, D: CellFunctor) -> Tuple[
 # ---------------------------------------------------------------------------
 
 
-@dataclass
-class IsoReport:
+class IsoReport(NamedTuple):
     is_iso: bool
     reason: str
     inverse: Optional[PolyMorphism]

@@ -9,9 +9,8 @@ v = i + 1/(p-1) the fiber exponent is i.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import TYPE_CHECKING, Dict, Optional, Set, Tuple
+from typing import TYPE_CHECKING, Dict, NamedTuple, Optional, Set, Tuple
 
 from .intlin import is_prime
 
@@ -75,8 +74,7 @@ def contraction_bound(d: Fraction, lam: Fraction) -> Fraction:
     return lam - d
 
 
-@dataclass
-class SplitLocusReport:
+class SplitLocusReport(NamedTuple):
     split: Set[str]
     non_split: Set[str]
     mode: str  # "uniform" when the vanishing-star hypotheses held
@@ -129,8 +127,7 @@ def split_locus(
     return SplitLocusReport(set(K.vertices) - non_split, non_split, "pointwise")
 
 
-@dataclass
-class TateIntervals:
+class TateIntervals(NamedTuple):
     i1: Tuple[int, int]
     i2: Tuple[int, int]
     length1: Fraction
@@ -208,8 +205,7 @@ def detection_function(p: int, d: Fraction) -> int:
     return max(1, _ceil(d - Fraction(1, p - 1)))
 
 
-@dataclass
-class MismatchWitness:
+class MismatchWitness(NamedTuple):
     cycle: Tuple[str, ...]
     reference_cycle: Tuple[str, ...]
     vertex: str

@@ -20,7 +20,6 @@ from anabel.cospec import (
     Poset,
     cospec_compose,
     cospec_strata,
-    is_cospec_iso,
 )
 from anabel.currents import current_group
 from anabel.gog import (
@@ -49,6 +48,7 @@ from anabel.poly_ops import (
     category_pi1,
     coequalizer,
     find_isomorphism,
+    is_cospec_iso,
 )
 from anabel.splitting import fiber_count, interval_gap, radius_pushforward, tate_intervals
 

@@ -313,21 +313,54 @@ def test_cli_import_loads_no_library_module():
     assert proc.stdout.strip() == "['anabel', 'anabel.cli', 'anabel.documents']"
 
 
-@pytest.mark.parametrize("name", ["split_radius.txt", "tate_intervals.txt"])
-def test_band_commands_load_neither_currents_nor_graphs(name):
-    # split_locus and detect_metric_mismatch import currents and graphs
-    # themselves; the band and interval commands never run them
+def test_library_imports_neither_dataclasses_nor_inspect():
+    # every CLI call is a fresh process; dataclasses would import inspect,
+    # ast, dis and tokenize in each, so the records are named tuples and
+    # plain classes
+    src = pathlib.Path(__file__).parent.parent / "src" / "anabel"
+    modules = sorted(p.stem for p in src.glob("*.py") if p.stem != "__init__")
+    assert "cli" in modules and "poly_ops" in modules
+    code = ("import sys\n"
+            f"for m in {modules!r}:\n"
+            "    __import__('anabel.' + m)\n"
+            "print(sorted(m for m in ('dataclasses', 'inspect') if m in sys.modules))")
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        cwd=str(pathlib.Path(__file__).parent.parent),
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+    assert [p.name for p in sorted(src.glob("*.py")) if "dataclass" in p.read_text()] == []
+
+
+def _exit_code_and_modules(argv):
+    """Run the CLI on argv in a fresh interpreter; print its exit code and
+    the anabel modules it loaded."""
     code = ("import contextlib, io, sys, anabel.cli\n"
             "with contextlib.redirect_stdout(io.StringIO()):\n"
             "    code = anabel.cli.main(sys.argv[1:])\n"
             "print(code, sorted(m for m in sys.modules if m.startswith('anabel')))")
     proc = subprocess.run(
-        [sys.executable, "-c", code, *CASES[name]], capture_output=True, text=True,
+        [sys.executable, "-c", code, *argv], capture_output=True, text=True,
         cwd=str(pathlib.Path(__file__).parent.parent),
     )
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == ("0 ['anabel', 'anabel.cli', 'anabel.documents', "
-                                   "'anabel.intlin', 'anabel.splitting']")
+    return proc.stdout.strip()
+
+
+@pytest.mark.parametrize("name", ["split_radius.txt", "tate_intervals.txt"])
+def test_band_commands_load_neither_currents_nor_graphs(name):
+    # split_locus and detect_metric_mismatch import currents and graphs
+    # themselves; the band and interval commands never run them
+    assert _exit_code_and_modules(CASES[name]) == (
+        "0 ['anabel', 'anabel.cli', 'anabel.documents', 'anabel.intlin', 'anabel.splitting']")
+
+
+def test_cospec_command_loads_neither_graphs_nor_poly_ops():
+    # a poset document needs Poset and ClosureIncidence, and Poset closes
+    # its relation with poly.transitive_closure
+    assert _exit_code_and_modules(CASES["cospec_chain.txt"]) == (
+        "0 ['anabel', 'anabel.cli', 'anabel.cospec', 'anabel.documents', 'anabel.poly']")
 
 
 @pytest.mark.parametrize("command,doc,old,new", [

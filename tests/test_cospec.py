@@ -12,11 +12,10 @@ from anabel.cospec import (
     cospec_polysimplicial,
     cospec_strata,
     curve_cospec,
-    is_cospec_iso,
 )
 from anabel.graphs import BranchGraph, compose_generalized
 from anabel.poly import box_product, representable
-from anabel.poly_ops import CellFunctor, box_extend
+from anabel.poly_ops import CellFunctor, box_extend, is_cospec_iso
 
 
 def test_poset_validation():
@@ -25,6 +24,21 @@ def test_poset_validation():
     assert P.minima() == ["a"]
     with pytest.raises(ValueError):
         Poset(["a", "b"], [("a", "b"), ("b", "a")])
+
+
+def test_closure_incidence_refuses_bad_input():
+    S1 = Poset(["a", "b"], [])
+    S2 = Poset(["x", "y"], [("x", "y")])
+    with pytest.raises(ValueError, match=r"^incidence pair \(z, a\) out of range$"):
+        ClosureIncidence(S1, S2, {("z", "a")})
+    with pytest.raises(ValueError, match=r"^incidence pair \(x, x\) out of range$"):
+        ClosureIncidence(S1, S2, {("x", "x")})
+    with pytest.raises(ValueError, match=r"^incidence is not downward closed: "
+                                         r"\(x, a\) missing below \(y, a\)$"):
+        ClosureIncidence(S1, S2, {("y", "a")})
+    R = ClosureIncidence(S1, S2, [("x", "a"), ("y", "a")])
+    assert R.pairs == {("x", "a"), ("y", "a")} and R.fiber("a") == ["x", "y"]
+    assert ClosureIncidence(S1, S2).pairs == set()
 
 
 def test_strata_poset_of_complexes():

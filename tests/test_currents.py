@@ -154,6 +154,16 @@ def test_path_current_rejects_nonsimple():
         path_current(G, [("a", +1), ("b", +1)])  # steps do not chain
 
 
+def test_subgraph_star_refuses_bad_input():
+    G = theta()
+    with pytest.raises(ValueError, match="^subgraph vertices not in graph$"):
+        SubgraphStar(G, {"u", "x"}, set())
+    with pytest.raises(ValueError, match="^subgraph edge a leaves the vertex set$"):
+        SubgraphStar(G, {"u"}, {"a"})
+    K = SubgraphStar(G, {"u", "v"}, {"a"})
+    assert (K.graph, K.vertices, K.edges) == (G, {"u", "v"}, {"a"})
+
+
 def test_vanishes_on_star():
     G = theta()
     zero = Current.zero(G)

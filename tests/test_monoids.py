@@ -259,6 +259,23 @@ def test_faces_prime_complement_property():
                     assert F.contains(a) and F.contains(b)
 
 
+def test_faces_compare_by_monoid_and_indices():
+    P = AffineMonoid(2, [(1, 0), (1, 2), (0, 1)])
+    first, again = P.faces(), AffineMonoid(2, [(1, 0), (1, 2), (0, 1)]).faces()
+    assert first == again and [f is g for f, g in zip(first, again)] == [False] * len(first)
+    assert [hash(f) for f in first] == [hash(g) for g in again]
+    assert [hash(f) for f in first] == [hash((f.monoid, f.indices)) for f in first]
+    assert len(set(first) | set(again)) == len(first)
+    assert first[0] != first[0].indices
+
+
+def test_counterexample_is_falsy():
+    out = Counterexample(((1,), (1,), 2))
+    assert not out and out == Counterexample(((1,), (1,), 2)) != Counterexample(())
+    assert hash(out) == hash((((1,), (1,), 2),))
+    assert repr(out) == "Counterexample(data=((1,), (1,), 2))"
+
+
 def test_face_queries_share_one_plan(monkeypatch):
     """Each face builds its monoid, and so its membership plan, once:
     twenty queries on one face build one plan, and answer as a fresh monoid

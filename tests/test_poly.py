@@ -163,6 +163,19 @@ def test_epi_mono_factorization():
             assert canonical_index(epi.target) == epi.target
 
 
+def test_element_is_its_pair():
+    # an element hashes and compares as the pair (cell, epi), so sets and
+    # dicts of elements iterate in the order of the pairs
+    L = representable((1, 1))
+    pairs = [(c, e) for c, n in L.cells.items() for e in epis_onto((1, 1), n)]
+    elements = [Element(c, e) for c, e in pairs]
+    for (c, e), elt in zip(pairs, elements):
+        assert hash(elt) == hash((c, e)) and elt == Element(c, e)
+        assert (elt.cell, elt.epi, elt.level) == (c, e, (1, 1))
+    assert [(x.cell, x.epi) for x in set(elements)] == list(set(pairs))
+    assert repr(elements[0]) == f"Element(cell={pairs[0][0]!r}, epi={pairs[0][1]!r})"
+
+
 def test_equal_functions_are_one_object():
     ident = identity((1,))
     flip = next(g for g in automorphisms((1,)) if g is not ident)

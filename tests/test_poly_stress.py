@@ -26,6 +26,7 @@ from anabel.poly import (
     injections_into,
     lambda_hom,
     representable,
+    transitive_closure,
 )
 from anabel.cospec import cospec_polysimplicial
 from anabel.documents import load
@@ -714,3 +715,36 @@ def test_morphism_naturality_is_not_decided_by_generators():
     assert not _natural_on(m, codimension_one)
     with pytest.raises(ValueError, match="naturality fails at cell s012"):
         PolyMorphism.from_cells(L, res.complex, cell_map)
+
+
+def _reference_strata_order_pairs(C):
+    """Reference strata order: act along every injection into every cell
+    and keep the nondegenerate results."""
+    le = {(c, c) for c in C.cells}
+    for y, n in C.cells.items():
+        base = C.cell_element(y)
+        for iota in injections_into(n):
+            got = C.act(base, iota)
+            if got.is_nondegenerate():
+                le.add((got.cell, y))
+    return transitive_closure(le)
+
+
+def test_strata_order_matches_act_reference():
+    # quotients with stabilizers Z/2 (the fold), Z/3 and Z/4 (the rotation
+    # quotients), their products and unions, polygons with seeded flips, a
+    # pentagon, the torus document and representables up to dimension 4
+    rng = random.Random(SEED)
+    pool = _corpus_pool(rng) + [_square_rotation_quotient(), _random_polygon(rng, 5)]
+    pool.append(load((Path(__file__).parent / "data" / "torus.poly").read_text())[1])
+    stabilized = pool[8:11]
+    for A in stabilized:
+        assert not A.is_interiorly_free()
+        for B in [rng.choice(pool), rng.choice(stabilized)]:
+            pool.append(disjoint_union(A, B))
+            if A.dim() + B.dim() <= 3:
+                pool.append(box_product(A, B))
+    pool += [representable(n) for n in [(3,), (2, 1), (1, 1, 1), (3, 1), (2, 1, 1)]]
+    pool.append(box_product(representable((2,)), representable((1,))))
+    for C in pool:
+        assert C.strata_order_pairs() == _reference_strata_order_pairs(C)
