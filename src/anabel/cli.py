@@ -236,11 +236,7 @@ def cmd_current_group(args) -> int:
         f"basis={len(basis)}",
     ]
     for k, c in enumerate(basis):
-        desc = " ".join(
-            f"{e}.{slot}:{c.values[(e, slot)]}"
-            for (e, slot) in sorted(c.values)
-            if c.values[(e, slot)]
-        )
+        desc = " ".join(f"{e}.{slot}:{x}" for (e, slot), x in sorted(c.values.items()))
         lines.append(f"basis[{k}] = {desc}")
         mlines.append(f"basis{k}={desc}")
     _emit(lines, mlines, args.machine)

@@ -1,7 +1,8 @@
 """Currents on branch graphs: antisymmetric, Kirchhoff-balanced branch data.
 
 Coefficients live in Z or Z/n. Cusp branches have no partner, so only the
-vertex law constrains them; they still enter every Kirchhoff sum.
+vertex law constrains them; they still enter every Kirchhoff sum. A current
+stores its support: the branches where its reduced value is nonzero.
 """
 
 from __future__ import annotations
@@ -10,16 +11,17 @@ from functools import cached_property
 from typing import Dict, List, NamedTuple, Optional, Sequence, Set, Tuple
 
 from .graphs import Branch, BranchGraph
-from .intlin import FgAbGroup, IntMatrix, kernel_rank, solution_group_mod
+from .intlin import FgAbGroup
 
 
 class Current:
     """Branch-valued function with C(iota b) = -C(b) and zero vertex sums.
 
-    The constructor only reduces the values. Data from outside the library
-    goes through `validate`, which checks antisymmetry and Kirchhoff's law;
-    `add`, `scale`, `reduce_mod`, automorphisms and `path_current` keep
-    both laws by construction.
+    `values` holds the nonzero reduced values; `c[b]` is 0 off them. The
+    constructor only reduces the values. Data from outside the library
+    goes through `validate`, which checks that every key is a branch,
+    antisymmetry and Kirchhoff's law; `add`, `scale`, `reduce_mod`,
+    automorphisms and `path_current` keep both laws by construction.
     """
 
     def __init__(
@@ -30,26 +32,32 @@ class Current:
     ):
         self.graph = graph
         self.modulus = modulus
-        self.values = {
-            b: values.get(b, 0) % modulus if modulus else values.get(b, 0)
-            for b in graph.branches()
-        }
+        if modulus:
+            values = {b: x % modulus for b, x in values.items()}
+        self.values = {b: x for b, x in values.items() if x}
 
     @cached_property
     def boundary(self) -> Dict[str, int]:
         """The nonzero vertex sums (Kirchhoff defects), by vertex."""
         m, G = self.modulus, self.graph
-        sums = {v: sum(self.values[b] for b in G.branches_at(v)) for v in G.vertices}
-        return {v: s % m if m else s for v, s in sums.items() if not self._zero(s)}
+        sums: Dict[str, int] = {}
+        for b, x in self.values.items():
+            v = G.psi(b)
+            sums[v] = sums.get(v, 0) + x
+        return {v: s % m if m else s for v, s in sorted(sums.items()) if not self._zero(s)}
 
     def validate(self) -> "Current":
-        """Check the modulus, antisymmetry and Kirchhoff's law; return self."""
+        """Check the modulus, the keys, antisymmetry and Kirchhoff's law;
+        return self."""
         if self.modulus is not None and self.modulus < 2:
             raise ValueError("modulus must be >= 2")
-        for b in self.graph.branches():
-            pb = self.graph.iota(b)
-            if pb is not None and not self._zero(self.values[b] + self.values[pb]):
-                raise ValueError(f"antisymmetry fails on edge {b[0]}")
+        edges = self.graph.edges
+        for b in sorted(self.values):
+            e, slot = b
+            if e not in edges or slot not in range(len(edges[e])):
+                raise ValueError(f"graph has no branch {e} {slot}")
+            if len(edges[e]) == 2 and not self._zero(self.values[b] + self[(e, 1 - slot)]):
+                raise ValueError(f"antisymmetry fails on edge {e}")
         if self.boundary:
             raise ValueError(f"Kirchhoff law fails at {sorted(self.boundary)}")
         return self
@@ -58,7 +66,7 @@ class Current:
         return x % self.modulus == 0 if self.modulus else x == 0
 
     def __getitem__(self, b: Branch) -> int:
-        return self.values[b]
+        return self.values.get(b, 0)
 
     def __eq__(self, other):
         return (
@@ -76,7 +84,9 @@ class Current:
         if other.modulus != self.modulus:
             rings = [f"Z/{m}" if m else "Z" for m in (self.modulus, other.modulus)]
             raise ValueError(f"cannot add currents with coefficients in {rings[0]} and {rings[1]}")
-        vals = {b: self.values[b] + other.values[b] for b in self.values}
+        vals = dict(self.values)
+        for b, x in other.values.items():
+            vals[b] = vals.get(b, 0) + x
         return Current(self.graph, vals, self.modulus)
 
     def scale(self, k: int) -> "Current":
@@ -96,44 +106,50 @@ class Current:
         return cls(graph, {}, modulus)
 
 
-def _constraint_matrix(G: BranchGraph) -> Tuple[IntMatrix, List[Branch]]:
-    branches = G.branches()
-    idx = {b: i for i, b in enumerate(branches)}
-    rows = []
-    for e in G.real_edges():
-        row = [0] * len(branches)
-        row[idx[(e, 0)]] = 1
-        row[idx[(e, 1)]] = 1
-        rows.append(row)
-    for v in G.vertices:
-        row = [0] * len(branches)
-        for b in G.branches_at(v):
-            row[idx[b]] += 1
-        rows.append(row)
-    return IntMatrix(len(rows), len(branches), [x for r in rows for x in r]), branches
-
-
 def current_group(
     G: BranchGraph, modulus: Optional[int] = None
 ) -> Tuple[FgAbGroup, List[Current]]:
-    """The group of currents with an explicit fundamental-cycle basis.
+    """The group of currents, over Z or over Z/modulus, with a basis.
 
-    Over Z the group is free of rank equal to the cycle rank; over Z/n it
-    is the reduction, computed honestly from the constraint matrix.
+    The basis has one current around the fundamental cycle of each chord,
+    in chord order, then one for each cusp after the first cusp of its
+    component: it flows in along that cusp, along the tree path to the
+    first cusp's vertex, and out along the first cusp. The group is
+    k = len(basis) copies of Z, or of Z/n; a modulus below 2 is refused.
+
+    Why: substituting C(e,1) = -C(e,0) leaves the vertex laws, in one
+    unknown per real edge and one per cusp. Append, for each component
+    with cusps, minus the sum of its laws, which they imply. The laws are
+    then the incidence matrix of G with one extra vertex per such
+    component, joined to its cusps. Each column has at most one +1 and one
+    -1, so the matrix is totally unimodular (Schrijver, Theory of Linear
+    and Integer Programming, 1986, section 19.3) and every nonzero Smith
+    invariant is 1. So the kernel is free over Z, and over Z/n it is the
+    reduction of the Z kernel, (Z/n)^k. The fundamental cycles of the
+    spanning forest of G, extended by each component's first cusp, form a
+    Z-basis of that kernel: they are the currents above.
     """
-    M, _ = _constraint_matrix(G)
-    if modulus is None:
-        group = FgAbGroup(kernel_rank(M))
-    else:
-        group = solution_group_mod(M, modulus)
-    basis = []
+    if modulus is not None and modulus < 2:
+        raise ValueError("modulus must be >= 2")
+    # (values off the path, tree path) for each basis current
+    paths = []
     for e in G.chords():
         u, w = G.edges[e]
-        path = G.tree_path(w, u) + [(e, +1)]
-        basis.append(path_current(G, path, closed=True).current)
-    if modulus:
-        basis = [c.reduce_mod(modulus) for c in basis]
-    return group, basis
+        paths.append(({}, G.tree_path(w, u) + [(e, +1)]))
+    component = {v: k for k, vs in enumerate(G.components()) for v in vs}
+    first: Dict[int, str] = {}
+    for c in sorted(G.cusp_edges(), key=lambda c: component[G.edges[c][0]]):
+        (v,) = G.edges[c]
+        c0 = first.setdefault(component[v], c)
+        if c0 != c:
+            paths.append(({(c, 0): 1, (c0, 0): -1}, G.tree_path(v, G.edges[c0][0])))
+    basis = []
+    for values, path in paths:
+        for e, d in path:
+            values[(e, 0)], values[(e, 1)] = -d, d
+        basis.append(Current(G, values, modulus))
+    k = len(basis)
+    return (FgAbGroup(k) if modulus is None else FgAbGroup(0, (modulus,) * k)), basis
 
 
 class PathCurrentResult(NamedTuple):
@@ -216,7 +232,7 @@ def vanishes_on_star(
     m = modulus if modulus is not None else current.modulus
     for e in sorted(K.star_edges()):
         for slot in range(len(current.graph.edges[e])):
-            v = current.values[(e, slot)]
+            v = current[(e, slot)]
             if (v % m if m else v) != 0:
                 return False
     return True
@@ -283,10 +299,7 @@ class GraphAutomorphism(NamedTuple):
 
     def act(self, current: Current) -> Current:
         G = current.graph
-        inv_branch = {}
-        for b in G.branches():
-            inv_branch[self.branch(G, b)] = b
-        vals = {b: current.values[inv_branch[b]] for b in G.branches()}
+        vals = {self.branch(G, b): x for b, x in current.values.items()}
         return Current(G, vals, current.modulus)
 
 
@@ -298,18 +311,25 @@ def equivariant_average(
 ) -> Current:
     """Sum of g . c0 over coset representatives of the stabilizer.
 
-    The stabilizer must actually fix c0; the averaged current is invariant
-    under the whole acting group by construction, and this is re-checked.
+    The group must be closed under composition, and the stabilizer a
+    nonempty subset of it that fixes c0. Then left multiplication permutes
+    the cosets, so the averaged current is invariant under the whole
+    acting group by construction, and this is re-checked.
     """
-    stab = list(stabilizer)
+    elements, stab = list(group), list(stabilizer)
+    members = set(elements)
+    products = {(g, h): g.compose(h, G) for g in elements for h in elements}
+    if not members.issuperset(products.values()):
+        raise ValueError("group is not closed under composition")
+    if not stab or not members.issuperset(stab):
+        raise ValueError("stabilizer must be a nonempty subset of the group")
     for h in stab:
         if h.act(c0) != c0:
             raise ValueError("given stabilizer does not fix the current")
-    elements = list(group)
     seen = set()
     reps = []
     for g in elements:
-        coset = frozenset(g.compose(h, G) for h in stab)
+        coset = frozenset(products[g, h] for h in stab)
         if coset not in seen:
             seen.add(coset)
             reps.append(g)

@@ -11,11 +11,14 @@ from __future__ import annotations
 import itertools
 from functools import cached_property
 from operator import itemgetter
-from typing import Dict, List, NamedTuple, Sequence, Set, Tuple
+from typing import TYPE_CHECKING, Dict, List, NamedTuple, Sequence, Set, Tuple
 
-from .graphs import Branch, BranchGraph
-from .intlin import FgAbGroup, IntMatrix, cokernel_group, is_prime
-from .presentations import GroupPresentation
+# the functions that run these modules import them, so that loading gog for
+# a Schreier extension loads none of them
+if TYPE_CHECKING:
+    from .graphs import Branch, BranchGraph
+    from .intlin import FgAbGroup
+    from .presentations import GroupPresentation
 
 Perm = Tuple[int, ...]
 
@@ -156,6 +159,8 @@ class FiniteGroup:
         return out
 
     def abelianization(self) -> FgAbGroup:
+        from .intlin import IntMatrix, cokernel_group
+
         rows = []
         n = self.order
         for a in range(n):
@@ -311,6 +316,8 @@ def pi1_presentation(gog: GraphOfFiniteGroups) -> GroupPresentation:
     b0(a) b1(a)^-1 across tree edges, and b0(a) e b1(a)^-1 e^-1 across
     the others. Cusp edges contribute nothing.
     """
+    from .presentations import GroupPresentation
+
     G = gog.graph
     if not G.is_connected():
         raise ValueError("graph of groups must be connected")
@@ -367,6 +374,8 @@ def abelianized_pi1(gog: GraphOfFiniteGroups) -> FgAbGroup:
 def abelianized_pi1_product_formula(gog: GraphOfFiniteGroups) -> FgAbGroup:
     """Independent route: Z^h times the vertex abelianizations modulo the
     branch identifications, glued from a relation matrix directly."""
+    from .intlin import FgAbGroup, IntMatrix, cokernel_group
+
     G = gog.graph
     if not G.is_connected():
         raise ValueError("graph of groups must be connected")
@@ -418,6 +427,8 @@ class TemperedAbProfile(NamedTuple):
 
 def tempered_ab_profile(g: int, h: int, p: int) -> TemperedAbProfile:
     """Free rank h and prime-to-p profinite corank 2g - h."""
+    from .intlin import is_prime
+
     if g < 0 or h < 0:
         raise ValueError("genus and cycle count must be nonnegative")
     if 2 * g - h < 0:

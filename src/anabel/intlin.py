@@ -5,18 +5,17 @@ folded into a reduced basis, nullspace and rank. Over Z: primality, Smith
 normal form, f.g. abelian groups, cokernels and lattice membership. One
 Smith kernel serves three modes: `smith_normal_form` has it track U and
 V, lattice membership has it track V alone, once per generator set, and
-`smith_diagonal` (behind cokernels, kernel ranks and mod-n solution
-groups) tracks no transforms. The kernel is one elimination on sparse
-rows. Its pivots come first from a walk over the rows, each offering a
-+-1 entry in the sparsest of its columns, and then from the smallest
-entry left. A unit pivot clears its column with no remainder to come
-back, and the column operations that clear its row add multiples of a
-column that is 0 outside the pivot row, so they run on V alone; the
-incidence-type matrices of currents and graphs of groups are mostly or
-wholly cleared this way. An entry the pivot does not divide is cleared
-by a 2 x 2 gcd step, so the pivot shrinks to the gcd and no unreduced
-remainder becomes the next pivot; that is what keeps entries from
-running away. Everything works with plain integers and `Fraction`, so
+`smith_diagonal` (behind cokernels) tracks no transforms. The kernel is
+one elimination on sparse rows. Its pivots come first from a walk over
+the rows, each offering a +-1 entry in the sparsest of its columns, and
+then from the smallest entry left. A unit pivot clears its column with
+no remainder to come back, and the column operations that clear its row
+add multiples of a column that is 0 outside the pivot row, so they run
+on V alone; the incidence-type matrices of graphs of groups are mostly
+or wholly cleared this way. An entry the pivot does not divide is
+cleared by a 2 x 2 gcd step, so the pivot shrinks to the gcd and no
+unreduced remainder becomes the next pivot; that is what keeps entries
+from running away. Everything works with plain integers and `Fraction`, so
 there is no overflow.
 """
 
@@ -26,7 +25,7 @@ from bisect import bisect_left
 from fractions import Fraction
 from functools import lru_cache
 from itertools import compress
-from math import gcd, isqrt
+from math import isqrt
 from operator import mul
 from typing import Iterable, List, Sequence, Tuple
 
@@ -470,34 +469,11 @@ def smith_diagonal(M: IntMatrix) -> Tuple[int, ...]:
     return tuple(_smith_form(M.entries, M.rows, M.cols)[0])
 
 
-def _smith_rank(diag: Sequence[int]) -> int:
-    return len(diag) - diag.count(0)
-
-
 def cokernel_group(M: IntMatrix) -> FgAbGroup:
     """Z^cols modulo the subgroup generated by the rows of M."""
     diag = smith_diagonal(M)
     torsion = tuple(d for d in diag if d >= 2)
-    return FgAbGroup(M.cols - _smith_rank(diag), torsion)
-
-
-def kernel_rank(M: IntMatrix) -> int:
-    """Rank of the kernel of M acting on column vectors."""
-    return M.cols - _smith_rank(smith_diagonal(M))
-
-
-def solution_group_mod(M: IntMatrix, n: int) -> FgAbGroup:
-    """Structure of {x in (Z/n)^cols : M x = 0 mod n} as an abelian group."""
-    if n < 2:
-        raise ValueError("modulus must be >= 2")
-    diag = smith_diagonal(M)
-    factors = sorted(
-        [gcd(d, n) for d in diag if d != 0 and gcd(d, n) >= 2]
-        + [n] * (M.cols - _smith_rank(diag))
-    )
-    # every factor divides n, and d_i | d_j gives gcd(d_i, n) | gcd(d_j, n),
-    # so the sorted factors form a divisibility chain
-    return FgAbGroup(0, tuple(factors))
+    return FgAbGroup(M.cols - len(diag) + diag.count(0), torsion)
 
 
 def lattice_member(vecs: Sequence[Sequence[int]], target: Sequence[int]) -> bool:

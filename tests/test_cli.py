@@ -363,6 +363,12 @@ def test_cospec_command_loads_neither_graphs_nor_poly_ops():
         "0 ['anabel', 'anabel.cli', 'anabel.cospec', 'anabel.documents', 'anabel.poly']")
 
 
+def test_schreier_command_loads_neither_graphs_nor_intlin_nor_presentations():
+    # gog imports those three inside the functions that run them
+    assert _exit_code_and_modules(CASES["schreier_s3.txt"]) == (
+        "0 ['anabel', 'anabel.cli', 'anabel.documents', 'anabel.gog']")
+
+
 @pytest.mark.parametrize("command,doc,old,new", [
     ("faces", "n2.monoid", "dim = 2", "dim ="),
     ("cospec", "chain.poset", "pair = x a", "pair = x"),
@@ -435,6 +441,23 @@ def test_current_document_is_checked(tmp_path, values, reason):
     assert proc.returncode == 2
     assert proc.stdout == ""
     assert proc.stderr == f"input error: {doc}: {reason}\n"
+
+
+def test_cusp_currents_are_in_the_basis(tmp_path):
+    # the current entering at one cusp and leaving at the other spans Z
+    doc = tmp_path / "two_cusps.graph"
+    doc.write_text("kind = graph\nvertices = v w\nedge e = v w\ncusp c1 = v\ncusp c2 = w\n")
+    proc = run_cli(["current-group", "--input", str(doc)])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("current group = Z\nbasis currents = 1\n"
+                           "basis[0] = c1.0:-1 c2.0:1 e.0:1 e.1:-1\n")
+    proc = run_cli(["current-group", "--input", str(doc), "--modulus", "3"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == ("current group = Z/3\nbasis currents = 1\n"
+                           "basis[0] = c1.0:2 c2.0:1 e.0:1 e.1:2\n")
+    proc = run_cli(["current-group", "--input", str(doc), "--modulus", "1"])
+    assert (proc.returncode, proc.stdout) == (2, "")
+    assert proc.stderr == "input error: modulus must be >= 2\n"
 
 
 def test_current_document_gives_its_graphs_current_group(tmp_path):

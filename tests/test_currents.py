@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -12,7 +13,11 @@ from anabel.currents import (
     path_current,
     vanishes_on_star,
 )
-from anabel.intlin import FgAbGroup
+from anabel.intlin import FgAbGroup, IntMatrix, smith_diagonal
+
+from currents_reference import reference_current_group
+
+SEED = int(os.environ.get("ANABEL_SEED", "0"))
 
 
 def theta():
@@ -83,6 +88,61 @@ def test_current_group_mod_n():
         assert c.modulus == 3
 
 
+def _random_cusped_graph(rng):
+    """1-3 components, each grown from a random tree (a one-vertex component
+    is an isolated vertex unless something lands on it), with extra loops
+    and parallel edges, and 0-4 cusps placed at random vertices."""
+    names = rng.sample([f"v{i}" for i in range(20)], rng.randint(1, 8))
+    cuts = sorted(rng.sample(range(1, len(names)), min(len(names) - 1, rng.randint(0, 2))))
+    parts = [names[a:b] for a, b in zip([0] + cuts, cuts + [len(names)])]
+    edge_ids = iter(rng.sample(range(100), 40))
+    edges = {}
+    for part in parts:
+        for i in range(1, len(part)):
+            edges[f"e{next(edge_ids)}"] = rng.choice(
+                [(part[rng.randrange(i)], part[i]), (part[i], part[rng.randrange(i)])])
+        for _ in range(rng.randint(0, 3)):
+            u, w = rng.choice(part), rng.choice(part)
+            edges[f"e{next(edge_ids)}"] = (u, u) if rng.random() < 0.3 else (u, w)
+        if len(part) > 1 and rng.random() < 0.3:
+            edges[f"e{next(edge_ids)}"] = (part[1], part[0])
+    for _ in range(rng.randint(0, 4)):
+        edges[f"e{next(edge_ids)}"] = (rng.choice(names),)
+    return BranchGraph(names, edges)
+
+
+def test_current_group_matches_smith_reference():
+    rng = random.Random(SEED)
+    seen = set()
+    for _ in range(300):
+        G = _random_cusped_graph(rng)
+        isolated = any(G.arity(v) == 0 for v in G.vertices)
+        seen.add((len(G.components()), len(G.cusp_edges()), isolated))
+        branches = G.branches()
+        group, basis = current_group(G)
+        assert group == reference_current_group(G)
+        assert group == FgAbGroup(len(basis))
+        for c in basis:
+            assert c.validate() is c
+        # the basis spans a saturated sublattice of Z^branches, of the
+        # kernel's rank, inside the kernel: it is a Z-basis of the kernel
+        rows = [[c[b] for b in branches] for c in basis]
+        M = IntMatrix(len(rows), len(branches), [x for r in rows for x in r])
+        assert smith_diagonal(M) == (1,) * len(rows)
+        for n in (2, 3, 4, 6):
+            group_n, basis_n = current_group(G, n)
+            assert group_n == reference_current_group(G, n)
+            assert group_n == FgAbGroup(0, (n,) * len(basis_n))
+            assert basis_n == [c.reduce_mod(n) for c in basis]
+            for c in basis_n:
+                assert c.validate() is c
+    assert {k for k, _, _ in seen} == {1, 2, 3}
+    assert {m for _, m, _ in seen} == {0, 1, 2, 3, 4}
+    assert {i for _, _, i in seen} == {False, True}
+    with pytest.raises(ValueError, match="^modulus must be >= 2$"):
+        current_group(G, 1)
+
+
 def test_current_validation():
     G = theta()
     with pytest.raises(ValueError, match="antisymmetry fails on edge a"):
@@ -96,6 +156,11 @@ def test_current_validation():
     ok = Current(G, {("a", 0): 1, ("a", 1): -1, ("b", 0): -1, ("b", 1): 1}, 3)
     assert ok.validate() is ok
     assert ok.values[("a", 1)] == 2
+    # a current stores its support, and every key must be a branch
+    assert ok.scale(3).values == {} and ok.scale(3)[("a", 1)] == 0
+    for key in (("zz", 0), ("a", 2)):
+        with pytest.raises(ValueError, match=f"^graph has no branch {key[0]} {key[1]}$"):
+            Current(G, {key: 1}, 3).validate()
 
 
 def test_add_and_reduce_mod_check_coefficients():
@@ -120,7 +185,7 @@ def test_cusp_branch_enters_kirchhoff():
     with pytest.raises(ValueError, match=r"Kirchhoff law fails at \['v'\]"):
         Current(G, {("l", 0): 1, ("l", 1): -1, ("c", 0): 2}).validate()
     ok = Current(G, {("l", 0): 1, ("l", 1): -1, ("c", 0): 0}).validate()
-    assert ok.values[("c", 0)] == 0
+    assert ok[("c", 0)] == 0
     group, _ = current_group(G)
     assert group == FgAbGroup(1)
 
@@ -222,3 +287,21 @@ def test_equivariant_average_rejects_bad_stabilizer():
     c0 = path_current(G, [("lp", +1)]).current
     with pytest.raises(ValueError):
         equivariant_average(G, [ident, swap], c0, [ident, swap])
+
+
+def test_equivariant_average_rejects_a_set_that_is_no_group():
+    G = two_disjoint_loops()
+    ident = GraphAutomorphism.make(
+        G, {"p": "p", "q": "q"}, {"lp": "lp", "lq": "lq"}, {"lp": 0, "lq": 0}
+    )
+    swap = GraphAutomorphism.make(
+        G, {"p": "q", "q": "p"}, {"lp": "lq", "lq": "lp"}, {"lp": 0, "lq": 0}
+    )
+    c0 = path_current(G, [("lp", +1)]).current
+    # swap o swap is the identity, which [swap] lacks
+    with pytest.raises(ValueError, match="^group is not closed under composition$"):
+        equivariant_average(G, [swap], c0, [ident])
+    symmetric = c0.add(swap.act(c0))
+    for group, stabilizer in (([ident], [ident, swap]), ([ident, swap], [])):
+        with pytest.raises(ValueError, match="^stabilizer must be a nonempty subset of the group$"):
+            equivariant_average(G, group, symmetric, stabilizer)

@@ -786,10 +786,12 @@ def _reference_distance_to_cycle(G, lengths, cycle):
 
 def _reference_current_basis(G):
     """The basis loop of current_group as it was before the spanning forest:
-    one sub-graph and one tree per component."""
-    from anabel.currents import path_current
+    one sub-graph and one tree per component. After every chord's cycle
+    come, component by component, the currents that enter at a cusp and
+    leave at the component's first cusp along the tree."""
+    from anabel.currents import Current, path_current
 
-    basis = []
+    basis, cusp_currents = [], []
     for comp in _reference_components(G):
         sub_edges = {e: ends for e, ends in G.edges.items() if set(ends) <= comp}
         sub = BranchGraph(sorted(comp), sub_edges)
@@ -800,7 +802,14 @@ def _reference_current_basis(G):
             u, w = sub.edges[e]
             path = _reference_tree_path(sub, tree, w, u) + [(e, +1)]
             basis.append(path_current(G, path, closed=True).current)
-    return basis
+        cusps = sub.cusp_edges()
+        for c in cusps[1:]:
+            values = {(c, 0): 1, (cusps[0], 0): -1}
+            (v,), (v0,) = sub.edges[c], sub.edges[cusps[0]]
+            if v != v0:
+                values.update(path_current(G, _reference_tree_path(sub, tree, v, v0)).values)
+            cusp_currents.append(Current(G, values))
+    return basis + cusp_currents
 
 
 def _random_multigraph(rng):
