@@ -6,19 +6,30 @@ from __future__ import annotations
 from typing import TYPE_CHECKING, Dict, Iterable, List, Optional, Sequence, Set, Tuple
 
 # the functions below import the modules they run, so a poset document
-# (the `cospec` command) loads neither graphs nor poly_ops
+# (the `cospec` command) loads none of graphs, poly and poly_ops
 if TYPE_CHECKING:
     from .graphs import BranchGraph, GeneralizedMorphism
     from .poly import PolysimplicialSet
     from .poly_ops import PolyMorphism
 
 
+def transitive_closure(pairs: Iterable[Tuple[str, str]]) -> Set[Tuple[str, str]]:
+    """The transitive closure of a finite relation given by its pairs."""
+    succ: Dict[str, Set[str]] = {}
+    for a, b in pairs:
+        succ.setdefault(a, set()).add(b)
+        succ.setdefault(b, set())
+    for k in succ:  # Warshall: allow paths through k
+        for a in succ:
+            if k in succ[a]:
+                succ[a] |= succ[k]
+    return {(a, b) for a in succ for b in succ[a]}
+
+
 class Poset:
     """Finite poset given by elements and either covering or full relations."""
 
     def __init__(self, elements: Sequence[str], le_pairs: Sequence[Tuple[str, str]]):
-        from .poly import transitive_closure
-
         self.elements: Tuple[str, ...] = tuple(sorted(str(e) for e in elements))
         els = set(self.elements)
         if len(els) != len(self.elements):

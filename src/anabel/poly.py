@@ -25,7 +25,7 @@ from __future__ import annotations
 
 import itertools
 from functools import lru_cache
-from typing import Dict, FrozenSet, Iterable, Iterator, List, NamedTuple, Sequence, Set, Tuple
+from typing import Dict, FrozenSet, Iterator, List, NamedTuple, Sequence, Set, Tuple
 
 PolyIndex = Tuple[int, ...]
 Point = Tuple[int, ...]
@@ -627,20 +627,11 @@ class PolysimplicialSet:
                     entry = faces[(y, iota)]
                     if entry.epi.is_iso():
                         le.add((entry.cell, y))
+        # imported here, so that commands which never ask for the order
+        # do not load cospec
+        from .cospec import transitive_closure
+
         return transitive_closure(le)
-
-
-def transitive_closure(pairs: Iterable[Tuple[str, str]]) -> Set[Tuple[str, str]]:
-    """The transitive closure of a finite relation given by its pairs."""
-    succ: Dict[str, Set[str]] = {}
-    for a, b in pairs:
-        succ.setdefault(a, set()).add(b)
-        succ.setdefault(b, set())
-    for k in succ:  # Warshall: allow paths through k
-        for a in succ:
-            if k in succ[a]:
-                succ[a] |= succ[k]
-    return {(a, b) for a in succ for b in succ[a]}
 
 
 def lambda_hom_all_into(target: PolyIndex) -> List[LambdaMorphism]:

@@ -79,9 +79,11 @@ class PolyMorphism:
 def compose_poly(
     second: PolyMorphism, first: PolyMorphism
 ) -> PolyMorphism:
+    """second after first. Natural maps compose to a natural map, so the
+    composite of valid morphisms is valid and is not validated."""
     if second.source is not first.target:
         raise ValueError("morphisms are not composable")
-    return PolyMorphism.from_cells(
+    return PolyMorphism(
         first.source,
         second.target,
         {c: second.apply(first.cell_map[c]) for c in first.source.cells},
@@ -130,6 +132,13 @@ def quotient(
     """Quotient of C by the congruence generated by the given element pairs,
     renormalized to Eilenberg-Zilber form.
 
+    A seed is an element of C: a cell of C and a morphism that ends at that
+    cell's index, so a cell restricted along any morphism into its index is
+    a seed. The two seeds of a pair share a level. A seed that breaks
+    either rule is refused, by name, before any work. The seeds are all
+    that is checked: the complex and the projection built from them are
+    valid by construction, as argued below, and are not validated.
+
     The levels are the sub-indices of the cells and of the seeds. The
     congruence is closed in one pass over the seeds, keying elements by
     their canonical form: for each seed (a, b) and every morphism gamma
@@ -146,14 +155,41 @@ def quotient(
     would only re-join images of images. Each union makes the lesser root
     the root of the other, so the id of a class is its least key, whatever
     the order of the unions; cell names and tables are read off those ids.
+
+    The table read off the classes is a complex. The index category is an
+    EZ category (Berger & Moerdijk, On an extension of the notion of Reedy
+    category, Math. Z. 269 (2011), section 6): every morphism is a split
+    epi followed by a mono (`epi_mono_factor`), and two split epis out of
+    one index, which are coordinate projections up to automorphism, have
+    an absolute pushout. So, by their Eilenberg-Zilber lemma, each class
+    of the presheaf C/~ is act(y, sigma) for a nondegenerate class y and an
+    epi sigma, and (y, sigma) is unique up to (act(y, theta), theta^-1 *
+    sigma) for automorphisms theta. A class hit by no non-invertible epi
+    is nondegenerate; every degenerate element of C is such a hit, so its
+    members are nondegenerate. The cells are the automorphism orbits of
+    the nondegenerate classes, each read through the least class y of its
+    orbit, with the stabilizer of y. By the lemma the pairs (cell, sigma),
+    up to that stabilizer, match the classes one to one: every class has a
+    normal form, and the face entries are normal forms. The act of the
+    table factors tau*gamma = iota*sigma and reads the entry at iota, which
+    is the quotient action carried through this matching. So the table is
+    C/~ in normal form, which satisfies everything `validate` checks, and
+    the projection c -> normal(class of c) is natural because the quotient
+    map is.
     """
     levels: Set[PolyIndex] = set()
     for n in C.cells.values():
         levels.update(sub_indices(n))
         levels.add(n)
     for a, b in seed_pairs:
+        for e in (a, b):
+            n = C.cells.get(e.cell)
+            if n is None:
+                raise ValueError(f"seed {e} names no cell of the complex")
+            if e.epi.target != n:
+                raise ValueError(f"seed {e} does not end at its cell's index {n}")
         if a.level != b.level:
-            raise ValueError("seed pair levels differ")
+            raise ValueError(f"seed pair levels differ: {a} and {b}")
         levels.update(sub_indices(a.level))
         levels.add(a.level)
     levels = sorted(levels)
@@ -169,8 +205,7 @@ def quotient(
     def class_of(e: Element):
         return uf.find(_elt_key(C, e))
 
-    # nondegenerate classes: those containing a nondegenerate element and not
-    # hit by a non-invertible degeneracy
+    # nondegenerate classes: those not hit by a non-invertible degeneracy
     class_members: Dict[object, List[Element]] = {}
     for lv in levels:
         for e in elements[lv]:
@@ -183,12 +218,7 @@ def quotient(
                     continue
                 for e in elements[lower]:
                     degenerate_classes.add(class_of(C.act(e, sigma)))
-    nondeg = []
-    for cid, members in sorted(class_members.items()):
-        if cid in degenerate_classes:
-            continue
-        if any(m.is_nondegenerate() for m in members):
-            nondeg.append(cid)
+    nondeg = [cid for cid in sorted(class_members) if cid not in degenerate_classes]
     # orbits under the automorphism action at each level
     orbit_of: Dict[object, object] = {}
     orbit_members: Dict[object, Set[object]] = {}
@@ -231,10 +261,7 @@ def quotient(
                 normal_form.setdefault(class_of(C.act(z, tau)), Element(name, tau))
 
     def normal(e: Element) -> Element:
-        try:
-            return normal_form[class_of(e)]
-        except KeyError:
-            raise AssertionError("class has no normal form; EZ failure") from None
+        return normal_form[class_of(e)]
 
     faces = {}
     for name in sorted(cells):
@@ -244,15 +271,14 @@ def quotient(
             if iota.is_iso():
                 continue
             faces[(name, iota)] = normal(C.act(rep, iota))
-    Q = PolysimplicialSet(cells, stabs, faces)
-    proj = PolyMorphism.from_cells(
-        C, Q, {c: normal(C.cell_element(c)) for c in C.cells}
-    )
+    Q = PolysimplicialSet(cells, stabs, faces, validate=False)
+    proj = PolyMorphism(C, Q, {c: normal(C.cell_element(c)) for c in C.cells})
     return QuotientResult(Q, proj)
 
 
 def coequalizer(f: PolyMorphism, g: PolyMorphism) -> QuotientResult:
-    """Cellwise coequalizer of two parallel morphisms, renormalized."""
+    """Cellwise coequalizer of two parallel morphisms, renormalized: the
+    quotient of the target by the pairs (f(z), g(z)) over the cells z."""
     if f.source is not g.source or f.target is not g.target:
         raise ValueError("coequalizer needs a parallel pair")
     seeds = []

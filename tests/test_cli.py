@@ -358,9 +358,10 @@ def test_band_commands_load_neither_currents_nor_graphs(name):
 
 def test_cospec_command_loads_neither_graphs_nor_poly_ops():
     # a poset document needs Poset and ClosureIncidence, and Poset closes
-    # its relation with poly.transitive_closure
+    # its relation with cospec.transitive_closure, so poly is not loaded
+    # either
     assert _exit_code_and_modules(CASES["cospec_chain.txt"]) == (
-        "0 ['anabel', 'anabel.cli', 'anabel.cospec', 'anabel.documents', 'anabel.poly']")
+        "0 ['anabel', 'anabel.cli', 'anabel.cospec', 'anabel.documents']")
 
 
 def test_schreier_command_loads_neither_graphs_nor_intlin_nor_presentations():

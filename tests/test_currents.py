@@ -1,3 +1,4 @@
+import itertools
 import os
 import random
 
@@ -305,3 +306,84 @@ def test_equivariant_average_rejects_a_set_that_is_no_group():
     for group, stabilizer in (([ident], [ident, swap]), ([ident, swap], [])):
         with pytest.raises(ValueError, match="^stabilizer must be a nonempty subset of the group$"):
             equivariant_average(G, group, symmetric, stabilizer)
+
+
+def _automorphism_group(G):
+    """Every automorphism of a graph with no loops and no parallel edges:
+    the vertex permutations that keep the edge set, cusps included."""
+    def shape(ends):
+        return len(ends), frozenset(ends)
+
+    edge_of = {shape(ends): e for e, ends in G.edges.items()}
+    group = []
+    for perm in itertools.permutations(G.vertices):
+        vmap = dict(zip(G.vertices, perm))
+        emap = {e: edge_of.get(shape([vmap[x] for x in ends])) for e, ends in G.edges.items()}
+        if None not in emap.values():
+            smap = {e: G.edges[emap[e]].index(vmap[G.edges[e][0]])
+                    for e in G.edges if len(G.edges[e]) == 2}
+            group.append(GraphAutomorphism.make(G, vmap, emap, smap))
+    return group
+
+
+def _cycle_rotations(n):
+    vertices = [f"v{i:02d}" for i in range(n)]
+    G = BranchGraph(vertices, {f"e{i:02d}": (vertices[i], vertices[(i + 1) % n])
+                               for i in range(n)})
+    return G, [GraphAutomorphism(
+        {vertices[i]: vertices[(i + k) % n] for i in range(n)},
+        {f"e{i:02d}": f"e{(i + k) % n:02d}" for i in range(n)},
+        {f"e{i:02d}": 0 for i in range(n)}) for k in range(n)]
+
+
+def _powers(G, g):
+    """The cyclic group generated by g: g, g^2, ..., up to the identity."""
+    out = [g]
+    while (nxt := out[-1].compose(g, G)) != g:
+        out.append(nxt)
+    return out
+
+
+def test_equivariant_average_is_invariant_under_the_group():
+    # equivariant_average does not re-check that its result is invariant:
+    # the cosets of the stabilizer argue it. Here every average is checked
+    # against its whole group: cyclic groups generated by seeded
+    # automorphisms of K4, of K4 with a cusp at each vertex and of the
+    # 6-cycle, and the rotations of the 24-cycle, on seeded currents over Z
+    # and Z/3 with the full stabilizer of each
+    rng = random.Random(SEED)
+    k4 = {f"{a}{b}": (a, b) for a, b in itertools.combinations("abcd", 2)}
+    graphs = [BranchGraph(list("abcd"), k4),
+              BranchGraph(list("abcd"), {**k4, **{f"cusp{v}": (v,) for v in "abcd"}}),
+              BranchGraph(list("abcdef"), {f"{a}{b}": (a, b) for a, b in
+                                           zip("abcdef", "bcdefa")})]
+    autos = [_automorphism_group(G) for G in graphs]
+    assert [len(group) for group in autos] == [24, 24, 12]
+    cases = [(G, _powers(G, rng.choice(group))) for G, group in zip(graphs, autos)
+             for _ in range(4)]
+    cases.append(_cycle_rotations(24))
+    nonzero = 0
+    for G, group in cases:
+        for modulus in (None, 3):
+            _, basis = current_group(G, modulus)
+            c0 = Current.zero(G, modulus)
+            for c in basis:
+                c0 = c0.add(c.scale(rng.randint(-2, 2)))
+            stab = [h for h in group if h.act(c0) == c0]
+            avg = equivariant_average(G, group, c0, stab)
+            assert all(g.act(avg) == avg for g in group)
+            nonzero += bool(avg.values)
+    assert nonzero >= 10
+
+
+def test_equivariant_average_validates_each_group_element():
+    # compose does not check its result, so the group's elements are
+    # checked once, on entry
+    G = two_disjoint_loops()
+    ident = GraphAutomorphism.make(
+        G, {"p": "p", "q": "q"}, {"lp": "lp", "lq": "lq"}, {"lp": 0, "lq": 0}
+    )
+    pinch = GraphAutomorphism({"p": "p", "q": "p"}, {"lp": "lp", "lq": "lq"}, {})
+    c0 = path_current(G, [("lp", +1)]).current
+    with pytest.raises(ValueError, match="^vertex map is not a permutation$"):
+        equivariant_average(G, [ident, pinch], c0, [ident])

@@ -4,6 +4,8 @@ import pathlib
 import subprocess
 import sys
 
+import pytest
+
 from anabel.gog import FiniteGroup, GoGCover, GraphOfFiniteGroups, validate_gog_cover
 from anabel.graphs import (
     BranchGraph,
@@ -13,6 +15,9 @@ from anabel.graphs import (
 )
 from anabel.poly import box_product, representable
 from anabel.poly_ops import coequalizer, PolyMorphism
+
+# every quotient and composite built here is checked (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("quotients_checked")
 
 
 def theta():

@@ -40,6 +40,9 @@ from anabel.poly_ops import (
 import quotient_reference
 from category_reference import all_objects_presentation, nondeg_objects
 
+# every quotient and composite built here is checked (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("quotients_checked")
+
 
 def test_index_validation():
     assert check_index((0,)) == (0,)

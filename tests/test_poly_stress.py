@@ -1,14 +1,17 @@
 """Stress tests for the normal-form machinery: larger stabilizers,
-randomized quotients and a seeded corpus of constructor outputs, all
-deep-validated; a differential test of `validate`, which checks
-functoriality along generators, against the all-pairs check; and one of
-`find_isomorphism`, which prunes by face checks, against the search that
-did not; and one of `quotient`, which closes its congruence in one pass
-over the seeds, against the fixed-point sweep."""
+randomized quotients, a seeded fuzz corpus of quotients and a seeded
+corpus of constructor outputs, all deep-validated; a differential test of
+`validate`, which checks functoriality along generators, against the
+all-pairs check; and one of `find_isomorphism`, which prunes by face
+checks, against the search that did not; and one of `quotient`, which
+closes its congruence in one pass over the seeds, against the fixed-point
+sweep."""
 
 import itertools
 import os
 import random
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -26,12 +29,13 @@ from anabel.poly import (
     injections_into,
     lambda_hom,
     representable,
-    transitive_closure,
 )
-from anabel.cospec import cospec_polysimplicial
+from anabel.cospec import cospec_polysimplicial, transitive_closure
 from anabel.documents import load
 from anabel.poly_ops import (
+    CellFunctor,
     PolyMorphism,
+    box_extend,
     category_pi1,
     coequalizer,
     compose_poly,
@@ -41,11 +45,15 @@ from anabel.poly_ops import (
 )
 
 import anabel.poly as poly
+import anabel.poly_ops as poly_ops
 import constructor_reference
 import quotient_reference
 from category_reference import all_objects_pi1
 
 SEED = int(os.environ.get("ANABEL_SEED", "0"))
+
+# every quotient and composite built here is checked (tests/conftest.py)
+pytestmark = pytest.mark.usefixtures("quotients_checked")
 
 
 def _rotation_gluing():
@@ -282,30 +290,144 @@ def test_quotient_corpus_matches_fixed_point_reference():
 
 
 def test_only_trust_boundaries_validate(monkeypatch):
-    # complexes the library builds from valid ones are valid by
-    # construction; the public constructor, the colimits and the document
-    # loader still validate
+    # complexes and morphisms the library builds from valid ones are valid
+    # by construction: the constructors, quotients, coequalizers and
+    # composites run no validate. The public constructor, from_cells, the
+    # document loader and box_extend, whose data comes from outside, still
+    # validate. The library's own quotient and compose_poly are measured,
+    # not the checking wrappers of the quotients_checked fixture
+    for name in ("quotient", "compose_poly"):
+        monkeypatch.setattr(poly_ops, name, getattr(poly_ops, name).__wrapped__)
     L1, L2, fold = representable((1,)), representable((2,)), _fold()
+    P = representable((0,))
     calls = []
-    real = PolysimplicialSet.validate
 
-    def counting(self, deep=False):
-        calls.append(self)
-        return real(self, deep)
+    def counting(real):
+        def validate(self, *args):
+            calls.append(self)
+            return real(self, *args)
+        return validate
 
-    monkeypatch.setattr(PolysimplicialSet, "validate", counting)
+    for cls in (PolysimplicialSet, PolyMorphism):
+        monkeypatch.setattr(cls, "validate", counting(cls.validate))
     box_product(disjoint_union(representable((0,)), L2), box_product(fold, L1))
+    f = PolyMorphism(P, L1, {"s0": L1.cell_element("s0")})
+    g = PolyMorphism(P, L1, {"s0": L1.cell_element("s1")})
+    poly_ops.quotient(L1, [(L1.cell_element("s0"), L1.cell_element("s1"))])
+    circle = poly_ops.coequalizer(f, g)
+    poly_ops.compose_poly(circle.projection, f)
     assert calls == []
     torus = (Path(__file__).parent / "data" / "torus.poly").read_text()
     for build in [
         lambda: PolysimplicialSet(L1.cells, L1.stabs, L1.faces),
-        lambda: quotient(L1, [(L1.cell_element("s0"), L1.cell_element("s1"))]),
-        _circle,  # a coequalizer
+        lambda: PolyMorphism.from_cells(P, L1, {"s0": L1.cell_element("s0")}),
         lambda: load(torus),
+        lambda: box_extend(L1, CellFunctor.constant(L1, 2)),
     ]:
         calls.clear()
         build()
         assert calls
+
+
+FUZZ_LEVELS = [(0,), (1,), (2,), (1, 1)]
+
+
+def _fuzz_gluings(rng, count):
+    """count seeded gluings of a representable up to Lambda(2, 1), of
+    I box I, or of a disjoint union of one of them with Lambda(0),
+    Lambda(1), Lambda(2) or Lambda(1, 1), along one to three seed pairs at a level in FUZZ_LEVELS. A seed is a
+    random cell restricted along a random morphism into its index: a
+    degeneracy, an automorphism twist, a restriction along a morphism that
+    is not onto, or the cell itself."""
+    L1 = representable((1,))
+    shapes = [representable(n) for n in [(0,), (1,), (2,), (1, 1), (2, 1)]]
+    shapes.append(box_product(L1, L1))
+
+    def seed(C, level):
+        c = rng.choice(sorted(C.cells))
+        return Element(c, rng.choice(lambda_hom(level, C.cells[c])))
+
+    for _ in range(count):
+        C = rng.choice(shapes)
+        if rng.random() < 0.4:
+            C = disjoint_union(C, rng.choice(shapes[:4]))
+        pairs = []
+        for _ in range(rng.randint(1, 3)):
+            level = rng.choice(FUZZ_LEVELS)
+            pairs.append((seed(C, level), seed(C, level)))
+        yield C, pairs
+
+
+def _seed_form(e):
+    epi = e.epi
+    if not epi.is_surjective():
+        return "restricted"
+    if not epi.is_iso():
+        return "degenerate"
+    return "identity" if epi == identity(epi.target) else "twisted"
+
+
+def test_quotient_fuzz_corpus_validates_deeply(quotients_checked):
+    # quotient builds without validate; the quotients_checked fixture
+    # deep-validates each of these quotients and validates its projection
+    rng = random.Random(SEED)
+    forms, levels = Counter(), Counter()
+    for C, pairs in _fuzz_gluings(rng, 1000):
+        for a, b in pairs:
+            forms.update([_seed_form(a), _seed_form(b)])
+            levels[a.level] += 1
+        quotient(C, pairs)
+    assert len(quotients_checked) == 1000
+    assert min(forms[k] for k in ("restricted", "degenerate", "identity", "twisted")) >= 100
+    assert sorted(levels) == sorted(FUZZ_LEVELS)
+
+
+def test_validate_fixture_catches_a_redirected_face(quotients_checked, monkeypatch):
+    # the quotient's table with one face entry of its top cell sent to
+    # another cell of the same index: quotient itself returns it, the
+    # fixture refuses it
+    build = poly_ops.PolysimplicialSet
+
+    def redirected(cells, stabs, faces, validate=True):
+        top = max(cells, key=lambda c: index_dim(cells[c]))
+        key, entry = min(((k, e) for k, e in faces.items()
+                          if k[0] == top and e.epi.is_iso()), key=lambda t: t[0][1])
+        other = min(c for c in cells if c != entry.cell and cells[c] == cells[entry.cell])
+        faces = {**faces, key: Element(other, entry.epi)}
+        return build(cells, stabs, faces, validate)
+
+    monkeypatch.setattr(poly_ops, "PolysimplicialSet", redirected)
+    L2 = representable((2,))
+    seeds = [(L2.cell_element("s0"), L2.cell_element("s0"))]
+    Q = quotient.__wrapped__(L2, seeds).complex
+    assert len(Q.cells) == 7
+    with pytest.raises(ValueError, match="^functoriality fails at cell"):
+        quotient(L2, seeds)
+    assert quotients_checked == []
+
+
+def test_quotient_refuses_a_seed_with_an_unknown_cell():
+    L1 = representable((1,))
+    nope = Element("nope", identity((1,)))
+    with pytest.raises(ValueError, match=re.escape(
+            "seed Element(cell='nope', epi=Lambda((1,)->(1,))) names no cell of the complex")):
+        quotient(L1, [(L1.cell_element("s01"), nope)])
+
+
+def test_quotient_refuses_a_seed_off_its_cells_index():
+    L1 = representable((1,))
+    off = Element("s01", identity((0,)))
+    with pytest.raises(ValueError, match=re.escape(
+            "seed Element(cell='s01', epi=Lambda((0,)->(0,))) does not end at its cell's index (1,)")):
+        quotient(L1, [(L1.cell_element("s0"), off)])
+
+
+def test_quotient_refuses_a_pair_at_two_levels():
+    L1 = representable((1,))
+    with pytest.raises(ValueError, match=re.escape(
+            "seed pair levels differ: Element(cell='s0', epi=Lambda((0,)->(0,))) "
+            "and Element(cell='s01', epi=Lambda((1,)->(1,)))")):
+        quotient(L1, [(L1.cell_element("s0"), L1.cell_element("s01"))])
 
 
 def _reference_validate(C):
